@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,8 +30,6 @@ from .core import (
 )
 from .enumeration import (
     digits_of,
-    ensure_enumerable,
-    iter_vector_chunks,
     level_table,
     resolve_limit,
 )
@@ -198,31 +197,38 @@ def check_monotonicity(
 def _monotonicity_from_table(
     flat: np.ndarray, n_components: int, max_state: int
 ) -> MonotonicityResult:
-    shape = (max_state + 1,) * n_components
     # suffix minima along each axis compose to the minimum over the
     # componentwise up-set of every vector
-    upmin = flat.reshape(shape).copy()
-    for axis in range(n_components):
-        upmin = np.flip(
-            np.minimum.accumulate(np.flip(upmin, axis=axis), axis=axis),
-            axis=axis,
-        )
-    bad = flat > upmin.reshape(-1)
+    upmin = flat.copy()
+    for view in _axis_views(upmin, n_components, max_state):
+        for i in range(max_state - 1, -1, -1):
+            np.minimum(view[:, i], view[:, i + 1], out=view[:, i])
+    bad = flat > upmin
+    del upmin
     if not bad.any():
         return MonotonicityResult(True)
     x_flat = int(np.argmax(bad))
     x = digits_of(x_flat, n_components, max_state)
     value_x = int(flat[x_flat])
-    x_arr = np.asarray(x, dtype=np.int64)
-    for lo, digits in iter_vector_chunks(n_components, max_state, start=x_flat):
-        mask = (digits >= x_arr).all(axis=1)
-        mask &= flat[lo : lo + len(digits)] < value_x
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            y_flat = lo + int(hits[0])
-            y = digits_of(y_flat, n_components, max_state)
-            return MonotonicityResult(False, (x, y), (value_x, int(flat[y_flat])))
-    raise AssertionError("violation vanished during counterexample scan")
+    # the up-set of x is a box whose C order is lexicographic, so its first
+    # hit is the least violating y
+    box = flat.reshape((max_state + 1,) * n_components)[
+        tuple(slice(v, None) for v in x)
+    ]
+    offset = np.unravel_index(int(np.argmax(box < value_x)), box.shape)
+    y = tuple(v + int(d) for v, d in zip(x, offset))
+    return MonotonicityResult(False, (x, y), (value_x, int(box[offset])))
+
+
+def _axis_views(
+    flat: np.ndarray, n_components: int, max_state: int
+) -> Iterator[np.ndarray]:
+    """One ``(before, radix, after)`` view of the flat table per axis: the
+    middle index is that component's level, the outer two enumerate the
+    other components in lexicographic order."""
+    radix = max_state + 1
+    for axis in range(n_components):
+        yield flat.reshape(radix**axis, radix, radix ** (n_components - axis - 1))
 
 
 def check_relevance(
@@ -240,20 +246,18 @@ def check_relevance(
 def _relevance_from_table(
     flat: np.ndarray, n_components: int, max_state: int
 ) -> tuple[RelevanceEntry, ...]:
-    radix = max_state + 1
-    nd = flat.reshape((radix,) * n_components)
     entries: list[RelevanceEntry] = []
-    for axis in range(n_components):
-        # rows are contexts over the remaining components, columns the
-        # substituted level of this one
-        view = np.moveaxis(nd, axis, -1).reshape(-1, radix)
-        for level in range(radix):
-            eq = view == level
-            ok = eq[:, level] & (eq.sum(axis=1) == 1)
-            rows = np.flatnonzero(ok)
-            if rows.size:
+    for axis, view in enumerate(_axis_views(flat, n_components, max_state)):
+        # a context is a (before, after) pair; only substituting ``level``
+        # for this component may give system level ``level``
+        for level in range(max_state + 1):
+            ok = view[:, level] == level
+            for sub in range(max_state + 1):
+                if sub != level:
+                    ok &= view[:, sub] != level
+            if ok.any():
                 witness = _context_vector(
-                    int(rows[0]), axis, n_components, max_state
+                    int(np.argmax(ok)), axis, n_components, max_state
                 )
                 entries.append(
                     RelevanceEntry(axis + 1, level, True, witness, None)
@@ -400,31 +404,31 @@ def enumerate_ucv(
     """All upper critical connection vectors to ``level``, lexicographically
     sorted.
 
-    Uses prefix maxima along each axis to obtain the maximum system level
-    over every strict down-set in one pass; pairwise incomparability of the
-    result is asserted afterwards as a self-check on the enumeration.
+    Prefix passes along each axis mark every vector whose closed down-set
+    reaches ``level``; a vector is upper critical when it sits at
+    ``level`` and none of its covering predecessors (one per axis with a
+    positive digit) is marked. Everything runs on boolean tables of one
+    byte per vector. Pairwise incomparability of the result is asserted
+    afterwards as a self-check on the enumeration.
     """
     if not 0 <= level <= max_state:
         raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
-    ensure_enumerable(n_components, max_state, limit)
     flat = level_table(structure, n_components, max_state, limit)
-    shape = (max_state + 1,) * n_components
-    downmax = flat.reshape(shape).astype(np.int64)
-    for axis in range(n_components):
-        np.maximum.accumulate(downmax, axis=axis, out=downmax)
-    # a strict down-set is the union of the closed down-sets of the
-    # covering predecessors, one per axis with a positive digit
-    strict = np.full(shape, -1, dtype=np.int64)
-    for axis in range(n_components):
-        dst = [slice(None)] * n_components
-        src = [slice(None)] * n_components
-        dst[axis] = slice(1, None)
-        src[axis] = slice(0, -1)
-        np.maximum(strict[tuple(dst)], downmax[tuple(src)], out=strict[tuple(dst)])
-    mask = (flat.reshape(shape) == level) & (strict < level)
+    reaches = flat >= level
+    for view in _axis_views(reaches, n_components, max_state):
+        for i in range(1, max_state + 1):
+            np.logical_or(view[:, i], view[:, i - 1], out=view[:, i])
+    covered = np.zeros_like(reaches)
+    for below, view in zip(
+        _axis_views(reaches, n_components, max_state),
+        _axis_views(covered, n_components, max_state),
+    ):
+        np.logical_or(view[:, 1:], below[:, :-1], out=view[:, 1:])
+    del reaches
+    mask = flat == level
+    mask &= ~covered
     members = tuple(
-        digits_of(int(i), n_components, max_state)
-        for i in np.flatnonzero(mask.reshape(-1))
+        digits_of(int(i), n_components, max_state) for i in np.flatnonzero(mask)
     )
     _assert_incomparable(members, level)
     return UCVSet(level, members)

@@ -1,10 +1,16 @@
-"""Chunked lexicographic enumeration of finite state spaces.
+"""Lexicographic enumeration of finite state spaces.
 
 Vectors of ``{0..max_state}^n`` are indexed 0..size-1 in lexicographic
 order with component 1 as the most significant digit, so flat index k and
-the mixed-radix digits of k are interchangeable. All consumers iterate in
-this one fixed order, which keeps counterexamples and accumulated sums
-deterministic.
+the mixed-radix digits of k are interchangeable, and the flat index is the
+C-order index of the n-dimensional array with one axis per component. All
+consumers iterate in this one fixed order, which keeps counterexamples and
+accumulated sums deterministic.
+
+Level tables of expression trees are built by broadcasting over that
+array (one uint8 byte per vector); per-vector weights are built block by
+block and handed out in fixed chunks of ``2**16`` vectors, the unit in
+which exact sums are accumulated.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from collections.abc import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import MAX_SUPPORTED_STATE, StateVector
-from .errors import ExplosionLimitError, LevelOutOfRangeError
-from .structure import StructureExpr, eval_expr_batch
+from .errors import ExplosionLimitError, InvalidLimitError, LevelOutOfRangeError
+from .structure import StructureExpr, eval_expr_grid
 
 #: Default ceiling on the number of vectors any exhaustive pass may visit.
 DEFAULT_ENUM_LIMIT = 10**8
@@ -29,13 +35,25 @@ _CHUNK = 1 << 16
 
 def resolve_limit(limit: int | None = None) -> int:
     """Effective enumeration limit: explicit value, else environment
-    override, else the default."""
+    override, else the default.
+
+    Raises :class:`InvalidLimitError` when the environment value is not a
+    non-negative integer.
+    """
     if limit is not None:
         return limit
     env = os.environ.get(LIMIT_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_LIMIT
+    if env is None:
+        return DEFAULT_ENUM_LIMIT
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InvalidLimitError(
+            f"{LIMIT_ENV_VAR} must be a non-negative integer, got {env!r}"
+        )
+    return value
 
 
 def space_size(n_components: int, max_state: int) -> int:
@@ -79,15 +97,52 @@ def iter_vector_chunks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(first_flat_index, digits_matrix)`` blocks in lexicographic
     order. Each matrix row holds one state vector."""
-    radix = max_state + 1
     total = space_size(n_components, max_state)
     for lo in range(start, total, chunk):
         hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, n_components), dtype=np.int64)
-        for col in range(n_components - 1, -1, -1):
-            idx, digits[:, col] = np.divmod(idx, radix)
-        yield lo, digits
+        yield lo, _digit_matrix(lo, hi, n_components, max_state + 1)
+
+
+def _digit_matrix(lo: int, hi: int, n_components: int, radix: int) -> np.ndarray:
+    """Digits of the flat indices lo..hi-1, one row per index."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    digits = np.empty((hi - lo, n_components), dtype=np.int64)
+    for col in range(n_components - 1, -1, -1):
+        idx, digits[:, col] = np.divmod(idx, radix)
+    return digits
+
+
+def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first_flat_index, weights)`` in lexicographic order, in
+    chunks of ``2**16`` vectors, where the weight of vector x is
+    ``pmf[0][x1] * pmf[1][x2] * ...`` multiplied left to right (one row of
+    ``pmf_matrix`` per component).
+
+    Each chunk is cut from a block of whole trailing axes: the
+    left-to-right products of the leading entries, extended one trailing
+    axis at a time by ``np.multiply.outer``. Memory stays a small multiple
+    of the chunk whatever the space size.
+    """
+    n_components, radix = pmf_matrix.shape
+    total = radix**n_components
+    # trailing axes per block; blocks of at most chunk/radix vectors keep
+    # the part computed beyond a chunk's two edges small
+    trailing = 0
+    while trailing < n_components and radix ** (trailing + 2) <= _CHUNK:
+        trailing += 1
+    block = radix**trailing
+    leading = n_components - trailing
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        first = lo // block
+        digits = _digit_matrix(first, (hi - 1) // block + 1, leading, radix)
+        weights = np.ones(digits.shape[0])
+        for col in range(leading):
+            weights *= pmf_matrix[col, digits[:, col]]
+        for pmf in pmf_matrix[leading:]:
+            weights = np.multiply.outer(weights, pmf)
+        offset = first * block
+        yield lo, weights.reshape(-1)[lo - offset : hi - offset]
 
 
 def level_table(
@@ -98,16 +153,14 @@ def level_table(
 ) -> np.ndarray:
     """System level for every vector of the space, flat, lexicographic.
 
-    Expression trees are evaluated in vectorized chunks and stored as
-    uint8 (levels never exceed the 255 state ceiling); arbitrary callables
-    go through a plain Python loop and an int64 table.
+    Expression trees are evaluated by broadcasting over the space (see
+    :func:`eval_expr_grid`) into a uint8 table (levels never exceed the
+    255 state ceiling); arbitrary callables go through a plain Python loop
+    and an int64 table. The limit is checked before anything is allocated.
     """
     size = ensure_enumerable(n_components, max_state, limit)
     if isinstance(structure, StructureExpr):
-        table = np.empty(size, dtype=np.uint8)
-        for lo, digits in iter_vector_chunks(n_components, max_state):
-            table[lo : lo + len(digits)] = eval_expr_batch(structure, digits)
-        return table
+        return eval_expr_grid(structure, n_components, max_state).reshape(-1)
     table = np.empty(size, dtype=np.int64)
     for lo, digits in iter_vector_chunks(n_components, max_state):
         rows = digits.tolist()

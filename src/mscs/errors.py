@@ -43,6 +43,10 @@ class ExplosionLimitError(MscsError, RuntimeError):
     """An exhaustive enumeration would exceed the configured vector limit."""
 
 
+class InvalidLimitError(MscsError, ValueError):
+    """An enumeration limit override is not a non-negative integer."""
+
+
 class LevelOutOfRangeError(MscsError, ValueError):
     """A performance level lies outside 0..max_state."""
 

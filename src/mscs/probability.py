@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .enumeration import ensure_enumerable, iter_vector_chunks
+from .enumeration import iter_weight_chunks, level_table
 from .errors import (
     ArityMismatchError,
     HypothesisViolatedError,
@@ -176,8 +176,11 @@ def exact_system_distribution(
     """Exact system distribution by full enumeration of the state space.
 
     Every vector's probability is the product of its component PMF entries
-    (independence); vectors are visited in one fixed lexicographic order,
-    so the accumulated sums are deterministic.
+    (independence), multiplied left to right. Levels come from the
+    broadcast level table; weights are summed per level with
+    ``np.bincount`` chunk by chunk (``2**16`` vectors each) in one fixed
+    lexicographic order, so the accumulated sums are deterministic. No
+    full-space float array is allocated.
     """
     if not isinstance(expr, StructureExpr):
         raise TypeError("expr must be a StructureExpr")
@@ -189,14 +192,12 @@ def exact_system_distribution(
             f"{arity(expr)}"
         )
     max_state = family[0].max_state
-    ensure_enumerable(n, max_state, limit)
+    levels = level_table(expr, n, max_state, limit)
     pmf_matrix = np.asarray([d.pmf for d in family])  # n x (max_state+1)
-    cols = np.arange(n)
     acc = np.zeros(max_state + 1)
-    for _, digits in iter_vector_chunks(n, max_state):
-        levels = eval_expr_batch(expr, digits)
-        weights = pmf_matrix[cols, digits].prod(axis=1)
-        acc += np.bincount(levels, weights=weights, minlength=max_state + 1)
+    for lo, weights in iter_weight_chunks(pmf_matrix):
+        chunk = levels[lo : lo + len(weights)]
+        acc += np.bincount(chunk, weights=weights, minlength=max_state + 1)
     return SystemDistribution.from_pmf(acc.tolist())
 
 

@@ -210,6 +210,58 @@ def _eval_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a structure expression: {expr!r}")
 
 
+def eval_expr_grid(
+    expr: StructureExpr, n_components: int, max_state: int
+) -> np.ndarray:
+    """:func:`eval_expr` at every vector of ``{0..max_state}^n_components``.
+
+    Returns a C-contiguous uint8 array of shape ``(max_state+1,) * n``
+    whose entry at ``x`` is the system level of ``x``, so its flat view is
+    in lexicographic order with component 1 most significant. Built by
+    broadcasting: component ``ci`` is ``arange(max_state+1)`` laid along
+    axis ``i-1``, and every node combines the broadcast shapes of its
+    children, so no digit matrix is ever materialized.
+    """
+    if n_components < arity(expr):
+        raise ArityMismatchError(
+            f"{n_components} components do not cover component indices "
+            f"up to {arity(expr)}"
+        )
+    levels = np.arange(max_state + 1, dtype=np.uint8)
+    axes = [
+        levels.reshape((-1,) + (1,) * (n_components - 1 - i))
+        for i in range(n_components)
+    ]
+    grid = _eval_grid(expr, axes)
+    shape = (max_state + 1,) * n_components
+    if grid.shape != shape or not grid.flags.c_contiguous:
+        grid = np.broadcast_to(grid, shape).copy()
+    return grid
+
+
+def _eval_grid(expr: StructureExpr, axes: list[np.ndarray]) -> np.ndarray:
+    # never writes into its inputs: component axes are shared views
+    if isinstance(expr, Component):
+        return axes[expr.index - 1]
+    if isinstance(expr, (Series, Parallel)):
+        op = np.minimum if isinstance(expr, Series) else np.maximum
+        first, second, *rest = expr.children
+        out = op(_eval_grid(first, axes), _eval_grid(second, axes))
+        for child in rest:
+            value = _eval_grid(child, axes)
+            if np.broadcast_shapes(out.shape, value.shape) == out.shape:
+                op(out, value, out=out)
+            else:
+                out = op(out, value)
+        return out
+    if isinstance(expr, KOutOfN):
+        values = [_eval_grid(c, axes) for c in expr.children]
+        stacked = np.stack(np.broadcast_arrays(*values), axis=-1)
+        pick = stacked.shape[-1] - expr.k
+        return np.partition(stacked, pick, axis=-1)[..., pick]
+    raise TypeError(f"not a structure expression: {expr!r}")
+
+
 def as_level_function(
     structure: StructureFunction, n_components: int
 ) -> Callable[[Sequence[int]], int]:

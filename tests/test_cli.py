@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from mscs.cli import run_cli
 from mscs.pipeline import case_study_path
@@ -362,6 +364,38 @@ def test_limit_flag_and_env(capsys, monkeypatch):
         "--max-state", "4", "--limit", "1000",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "1e8", ""])
+def test_limit_env_rejects_malformed_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("MSCS_LIMIT", value)
+    code, out, err = invoke(
+        capsys, "coherence", "--structure", "series(c1, c2, c3)",
+        "--max-state", "4",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: MSCS_LIMIT") and err.count("\n") == 1
+    # an explicit flag does not consult the environment at all
+    code, _, _ = invoke(
+        capsys, "coherence", "--structure", "series(c1, c2, c3)",
+        "--max-state", "4", "--limit", "1000",
+    )
+    assert code == 0
+
+
+def test_limit_env_rejects_malformed_value_in_a_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscs", "coherence", "--structure",
+         "series(c1, c2)", "--max-state", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "MSCS_LIMIT": "abc"},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip() == (
+        "error: MSCS_LIMIT must be a non-negative integer, got 'abc'"
+    )
 
 
 def test_usage_errors_exit_2(capsys):

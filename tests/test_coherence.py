@@ -9,6 +9,7 @@ from conftest import (
     oracle_relevant,
     oracle_space,
     oracle_ucv_set,
+    random_expr,
 )
 from mscs.coherence import (
     _assert_incomparable,
@@ -25,6 +26,7 @@ from mscs.coherence import (
     structure_bounds,
 )
 from mscs.core import constant_vector, leq, update_at
+from mscs.enumeration import level_table
 from mscs.errors import (
     ExplosionLimitError,
     LevelOutOfRangeError,
@@ -35,6 +37,7 @@ from mscs.structure import (
     Component,
     Parallel,
     Series,
+    arity,
     eval_expr,
     eval_parallel,
     eval_series,
@@ -369,3 +372,57 @@ def test_enumerate_ucv_definitional_on_arbitrary_functions():
         for level in range(max_state + 1):
             got = list(enumerate_ucv(fn, n, max_state, level).vectors)
             assert got == oracle_ucv_set(fn, n, max_state, level)
+
+
+def _leaves(expr):
+    if isinstance(expr, Component):
+        return [expr.index]
+    return [i for c in expr.children for i in _leaves(c)]
+
+
+def _ucv_outcome(structure, n, max_state, level):
+    try:
+        return enumerate_ucv(structure, n, max_state, level)
+    except UCVConsistencyError as err:
+        return ("UCVConsistencyError", str(err))
+
+
+def test_expression_path_matches_callable_path_on_random_trees():
+    # the broadcast kernels used for expression trees must agree with the
+    # Python-loop path taken by callables, witnesses and errors included
+    rnd = random.Random(2112)
+    repeated = wider = checked = 0
+    for case in range(60):
+        expr = random_expr(rnd, 4, 3)
+        max_state = 1 + case % 3
+        n = arity(expr) + case % 3
+        leaves = _leaves(expr)
+        repeated += len(leaves) > len(set(leaves))
+        wider += n > arity(expr)
+        fn = lambda x, e=expr: oracle_eval(e, x)  # noqa: E731
+
+        table = level_table(expr, n, max_state)
+        assert table.dtype.name == "uint8"
+        assert table.tolist() == [
+            oracle_eval(expr, x) for x in oracle_space(n, max_state)
+        ]
+        assert coherence_report(expr, n, max_state) == coherence_report(
+            fn, n, max_state
+        )
+        for level in range(max_state + 1):
+            assert _ucv_outcome(expr, n, max_state, level) == _ucv_outcome(
+                fn, n, max_state, level
+            )
+        # both paths share the kernels, so check those against the
+        # definitions too wherever the brute force stays cheap
+        if (max_state + 1) ** n <= 81:
+            checked += 1
+            for e in check_relevance(expr, n, max_state):
+                assert e.passed == oracle_relevant(
+                    fn, n, max_state, e.component, e.level
+                )
+            for level in range(max_state + 1):
+                assert list(enumerate_ucv(expr, n, max_state, level).vectors) == (
+                    oracle_ucv_set(fn, n, max_state, level)
+                )
+    assert repeated >= 10 and wider >= 20 and checked >= 20

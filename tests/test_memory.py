@@ -1,0 +1,41 @@
+"""Peak-allocation regression for the exhaustive passes.
+
+Each pass over ``{0..4}^8`` (390,625 vectors) must stay within 8 bytes per
+vector, measured with ``tracemalloc`` (numpy reports its buffers to it).
+A single full-space int64 or float64 intermediate alone would exceed that.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import random_pmf
+from mscs.coherence import coherence_report, enumerate_ucv
+from mscs.probability import exact_system_distribution
+from mscs.structure import parse_expr
+
+N, MAX_STATE = 8, 4
+VECTORS = (MAX_STATE + 1) ** N
+BYTES_PER_VECTOR = 8
+EXPR = parse_expr("series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8)")
+_RNG = np.random.default_rng(5)
+DISTS = [random_pmf(_RNG, MAX_STATE) for _ in range(N)]
+
+PASSES = {
+    "coherence_report": lambda: coherence_report(EXPR, N, MAX_STATE),
+    "enumerate_ucv": lambda: enumerate_ucv(EXPR, N, MAX_STATE, 2),
+    "exact_system_distribution": lambda: exact_system_distribution(EXPR, DISTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_exhaustive_pass_peak_bytes_per_vector(name):
+    PASSES[name]()  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        PASSES[name]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / VECTORS <= BYTES_PER_VECTOR, f"{peak / VECTORS:.2f} B/vector"

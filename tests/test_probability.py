@@ -25,7 +25,7 @@ from mscs.probability import (
     monte_carlo_cdf,
     validate_pmf,
 )
-from mscs.structure import Component, arity, parallel, series
+from mscs.structure import Component, arity, parallel, parse_expr, series
 
 c1, c2 = Component(1), Component(2)
 FAIR = ComponentDistribution((0.5, 0.5))
@@ -259,3 +259,42 @@ def test_monte_carlo_coverage_over_100_seeded_runs():
         if abs(est.estimate - exact.cdf[level]) <= 6 * est.std_error:
             inside += 1
     assert inside >= 99
+
+
+# Exact PMF/CDF floats pinned bit for bit: every vector weight is a
+# left-to-right product and sums accumulate per 2**16-vector chunk in
+# lexicographic order, so any change of evaluation order shows up here.
+# The first space (5**8 vectors) is not a multiple of the chunk, the
+# second (4**10) is exactly 16 chunks.
+EXACT_PINS = [
+    (
+        "series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8)",
+        8,
+        4,
+        11,
+        (0.4972820749082758, 0.3830399848486076, 0.11126739349112794,
+         0.008389230230263478, 2.1316521724745184e-05),
+        (0.4972820749082758, 0.8803220597568834, 0.9915894532480113,
+         0.9999786834782748, 0.9999999999999996),
+    ),
+    (
+        "parallel(series(c1, c2, koon(2; c3, c4, c5)), series(c1, c6, c7), "
+        "series(c2, c8, c9, c10))",
+        10,
+        3,
+        12,
+        (0.1613068888401048, 0.6622407416573701, 0.16137609110492762,
+         0.015076278397599629),
+        (0.1613068888401048, 0.8235476304974749, 0.9849237216024025,
+         1.0000000000000022),
+    ),
+]
+
+
+@pytest.mark.parametrize("text,n,max_state,seed,pmf,cdf", EXACT_PINS)
+def test_exact_distribution_bit_identical(text, n, max_state, seed, pmf, cdf):
+    rng = np.random.default_rng(seed)
+    dists = [random_pmf(rng, max_state) for _ in range(n)]
+    got = exact_system_distribution(parse_expr(text), dists)
+    assert got.pmf == pmf
+    assert got.cdf == cdf
