@@ -28,22 +28,13 @@ from .pipeline import (
 )
 from .probability import (
     ComponentDistribution,
-    SystemDistribution,
+    _dominance,
     cdf_bounds,
-    closed_form_cdf,
-    dominance_check,
+    closed_form_distribution,
     exact_system_distribution,
     monte_carlo_cdf,
 )
-from .structure import (
-    Component,
-    Parallel,
-    Series,
-    arity,
-    eval_expr,
-    format_expr,
-    parse_expr,
-)
+from .structure import arity, eval_expr, format_expr, parse_expr
 
 
 class UsageError(MscsError):
@@ -95,24 +86,6 @@ def _resolve_dists(
                 f"references {n_components} components"
             )
     return dists
-
-
-def _flat_kind(expr, n_components: int) -> str:
-    """Kind of a flat series/parallel over each component exactly once."""
-    if isinstance(expr, Component) and n_components == 1:
-        return "series"  # single component: both closed forms coincide
-    if isinstance(expr, (Series, Parallel)):
-        indices = sorted(
-            c.index for c in expr.children if isinstance(c, Component)
-        )
-        if len(indices) == len(expr.children) and indices == list(
-            range(1, n_components + 1)
-        ):
-            return "series" if isinstance(expr, Series) else "parallel"
-    raise UsageError(
-        "the closed form needs a flat series(...) or parallel(...) "
-        "referencing each component exactly once"
-    )
 
 
 def _emit_json(doc: dict) -> None:
@@ -171,9 +144,7 @@ def _cmd_ucv(args) -> int:
 
 def _cmd_dist(args) -> int:
     expr = parse_expr(args.structure)
-    n = arity(expr)
-    dists = _resolve_dists(args.pmf, args.spec, n)
-    max_state = dists[0].max_state
+    dists = _resolve_dists(args.pmf, args.spec, arity(expr))
 
     if args.method == "mc":
         if args.level is None:
@@ -199,10 +170,9 @@ def _cmd_dist(args) -> int:
     if args.method == "exact":
         dist = exact_system_distribution(expr, dists, args.limit)
     else:  # closed
-        kind = _flat_kind(expr, n)
-        cdf = [closed_form_cdf(kind, dists, j) for j in range(max_state + 1)]
-        pmf = [cdf[0]] + [cdf[j] - cdf[j - 1] for j in range(1, max_state + 1)]
-        dist = SystemDistribution(tuple(pmf), tuple(cdf))
+        dist = closed_form_distribution(expr, dists)
+    if args.level is not None:
+        value = dist.cdf_at(args.level)  # rejects a bad level before output
 
     if args.out:
         export_results(dist, args.out)
@@ -211,17 +181,17 @@ def _cmd_dist(args) -> int:
             {
                 "method": args.method,
                 "structure": format_expr(expr),
-                "levels": list(range(max_state + 1)),
+                "levels": list(range(dist.max_state + 1)),
                 "pmf": list(dist.pmf),
                 "cdf": list(dist.cdf),
             }
         )
     else:
         if args.level is not None:
-            print(f"{dist.cdf[args.level]:.10f}")
+            print(f"{value:.10f}")
         else:
             print("level pmf cdf")
-            for j in range(max_state + 1):
+            for j in range(dist.max_state + 1):
                 print(f"{j} {dist.pmf[j]:.10f} {dist.cdf[j]:.10f}")
     return 0
 
@@ -252,10 +222,8 @@ def _cmd_dominance(args) -> int:
     primed = _resolve_dists(
         args.pmf_prime, args.spec_prime, n, "--pmf-prime", "--spec-prime"
     )
-    holds = dominance_check(expr, primed, dists, args.limit)
+    holds, system, system_primed = _dominance(expr, primed, dists, args.limit)
     if args.json:
-        system = exact_system_distribution(expr, dists, args.limit)
-        system_primed = exact_system_distribution(expr, primed, args.limit)
         _emit_json(
             {
                 "structure": format_expr(expr),

@@ -8,8 +8,7 @@ pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -52,13 +51,6 @@ class StateSpace:
 
     def size(self, n_components: int) -> int:
         return (self.max_state + 1) ** n_components
-
-    def vectors(self, n_components: int) -> Iterator[StateVector]:
-        """All vectors of the given length, lexicographic, component 1 most
-        significant."""
-        if n_components < 1:
-            raise EmptyVectorError("n_components must be at least 1")
-        return itertools.product(self.levels, repeat=n_components)
 
 
 def as_vector(levels: Sequence[int]) -> StateVector:

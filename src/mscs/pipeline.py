@@ -23,13 +23,13 @@ import numpy as np
 
 from .errors import (
     InvalidPMFError,
-    LevelOutOfRangeError,
     PreconditionViolatedError,
     SpecFormatError,
 )
 from .probability import (
     ComponentDistribution,
     SystemDistribution,
+    _check_seed,
     closed_form_cdf,
     validate_pmf,
 )
@@ -177,23 +177,19 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
 def pipeline_cdf(spec: PipelineSpec, level: int) -> float:
     """Probability the pipeline performs at or below ``level``: one minus
     the product of the segment survival values (series closed form)."""
-    if not 0 <= level <= spec.max_state:
-        raise LevelOutOfRangeError(
-            f"level {level} outside 0..{spec.max_state}"
-        )
     return closed_form_cdf("series", spec.distributions, level)
 
 
 def pipeline_state1_cdf(spec: PipelineSpec) -> float:
     """State-1 closed form, valid only when no segment carries mass at
-    complete failure: 1 - prod(1 - p_i1)."""
+    complete failure: :func:`pipeline_cdf` at 1, i.e. 1 - prod(1 - p_i1)."""
     for seg in spec.segments:
         if seg.distribution.pmf[0] != 0.0:
             raise PreconditionViolatedError(
                 f"segment {seg.name!r} has nonzero complete-failure mass "
                 f"{seg.distribution.pmf[0]!r}"
             )
-    return 1.0 - math.prod(1.0 - seg.distribution.pmf[1] for seg in spec.segments)
+    return pipeline_cdf(spec, 1)
 
 
 def set_state1(
@@ -236,7 +232,7 @@ def state1_performance(
 ) -> float:
     """State-1 closed form from the two swept values and the held state-1
     probabilities of the remaining segments. Sweep rows reproduce this
-    bitwise."""
+    bitwise, so both keep this association order (not pipeline_cdf's)."""
     held_product = math.prod(1.0 - h for h in held)
     return 1.0 - (1.0 - p_1_1) * (1.0 - p_2_1) * held_product
 
@@ -252,6 +248,7 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
     """
     if trials < 1:
         raise PreconditionViolatedError("trials must be at least 1")
+    _check_seed(seed)
     if spec.n_segments < 2:
         raise PreconditionViolatedError(
             "the sweep needs at least two segments to vary"

@@ -4,7 +4,7 @@ Component states are modeled by discrete PMFs over the shared level set.
 Mutual independence of the components is an input assumption throughout;
 it cannot be checked from the marginals and is simply trusted. The exact
 enumerator sums the product weights of every state vector; the closed
-forms and bounds are cheap products over the component distribution
+forms and bounds are one bottom-up recursion on the component distribution
 functions; the Monte-Carlo estimator is a seeded, bit-reproducible
 cross-check (PCG64 stream, inverse-CDF sampling, draws consumed in
 trial-major order).
@@ -13,7 +13,7 @@ trial-major order).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Union
@@ -30,7 +30,11 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .structure import (
+    Component,
     Kind,
+    KOutOfN,
+    Parallel,
+    Series,
     StructureExpr,
     arity,
     eval_expr_batch,
@@ -67,7 +71,8 @@ class ComponentDistribution:
 
 @dataclass(frozen=True)
 class PmfDiagnostic:
-    kind: str  # "negative_mass" | "mass_above_one" | "normalization"
+    # "non_finite" | "negative_mass" | "mass_above_one" | "normalization"
+    kind: str
     message: str
     residual: Optional[float] = None
 
@@ -97,6 +102,11 @@ class SystemDistribution:
     def max_state(self) -> int:
         return len(self.pmf) - 1
 
+    def cdf_at(self, level: int) -> float:
+        """Probability that the system performs at or below ``level``."""
+        _check_level(level, self.max_state)
+        return self.cdf[level]
+
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
@@ -118,6 +128,11 @@ def as_distribution(dist: DistributionLike) -> ComponentDistribution:
 def validate_pmf(dist: DistributionLike) -> Optional[PmfDiagnostic]:
     """None when the PMF is valid, otherwise the first violated clause."""
     d = as_distribution(dist)
+    for i, p in enumerate(d.pmf):
+        if not math.isfinite(p):
+            return PmfDiagnostic(
+                "non_finite", f"entry {i} is not finite ({p!r})"
+            )
     for i, p in enumerate(d.pmf):
         if p < 0.0:
             return PmfDiagnostic(
@@ -160,11 +175,36 @@ def _ensure_valid_family(
     return family
 
 
+def _check_level(level: int, max_state: int) -> None:
+    if not 0 <= level <= max_state:
+        raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise PreconditionViolatedError(
+            f"seed must be a non-negative integer, got {seed}"
+        )
+
+
+def _system_family(
+    expr: StructureExpr, dists: Sequence[DistributionLike]
+) -> list[ComponentDistribution]:
+    if not isinstance(expr, StructureExpr):
+        raise TypeError("expr must be a StructureExpr")
+    family = _ensure_valid_family(dists)
+    if arity(expr) > len(family):
+        raise ArityMismatchError(
+            f"{len(family)} distributions do not cover component indices "
+            f"up to {arity(expr)}"
+        )
+    return family
+
+
 def component_cdf(dist: DistributionLike, level: int) -> float:
     """Probability that the component state is at or below ``level``."""
     d = as_distribution(dist)
-    if not 0 <= level <= d.max_state:
-        raise LevelOutOfRangeError(f"level {level} outside 0..{d.max_state}")
+    _check_level(level, d.max_state)
     return math.fsum(d.pmf[: level + 1])
 
 
@@ -182,23 +222,74 @@ def exact_system_distribution(
     lexicographic order, so the accumulated sums are deterministic. No
     full-space float array is allocated.
     """
-    if not isinstance(expr, StructureExpr):
-        raise TypeError("expr must be a StructureExpr")
-    family = _ensure_valid_family(dists)
-    n = len(family)
-    if arity(expr) > n:
-        raise ArityMismatchError(
-            f"{n} distributions do not cover component indices up to "
-            f"{arity(expr)}"
-        )
+    family = _system_family(expr, dists)
     max_state = family[0].max_state
-    levels = level_table(expr, n, max_state, limit)
+    levels = level_table(expr, len(family), max_state, limit)
     pmf_matrix = np.asarray([d.pmf for d in family])  # n x (max_state+1)
     acc = np.zeros(max_state + 1)
     for lo, weights in iter_weight_chunks(pmf_matrix):
         chunk = levels[lo : lo + len(weights)]
         acc += np.bincount(chunk, weights=weights, minlength=max_state + 1)
     return SystemDistribution.from_pmf(acc.tolist())
+
+
+# A node's CDF at level j from its independent children's CDFs at j. A koon
+# node is at or below j when fewer than k of its children exceed j.
+def _series_cdf(values: Iterable[float]) -> float:
+    return 1.0 - math.prod(1.0 - v for v in values)
+
+
+def _parallel_cdf(values: Iterable[float]) -> float:
+    return math.prod(values)
+
+
+def _koon_cdf(k: int, values: Sequence[float]) -> float:
+    # below[m]: Poisson-binomial probability that m children so far exceed j
+    below = [1.0] + [0.0] * (k - 1)
+    for v in values:
+        below = [b * v + a * (1.0 - v) for a, b in zip([0.0, *below], below)]
+    return math.fsum(below)
+
+
+def _tree_cdf(expr: StructureExpr, values: Sequence[float]) -> float:
+    if isinstance(expr, Component):
+        return values[expr.index - 1]
+    children = [_tree_cdf(c, values) for c in expr.children]
+    if isinstance(expr, Series):
+        return _series_cdf(children)
+    if isinstance(expr, Parallel):
+        return _parallel_cdf(children)
+    if isinstance(expr, KOutOfN):
+        return _koon_cdf(expr.k, children)
+    raise TypeError(f"not a structure expression: {expr!r}")
+
+
+def _component_indices(expr: StructureExpr) -> list[int]:
+    if isinstance(expr, Component):
+        return [expr.index]
+    return [i for c in expr.children for i in _component_indices(c)]
+
+
+def closed_form_distribution(
+    expr: StructureExpr, dists: Sequence[DistributionLike]
+) -> SystemDistribution:
+    """Exact system distribution of a read-once tree, bottom up from the
+    component CDFs (the universal generating function method); agrees with
+    :func:`exact_system_distribution` to ``ORACLE_TOLERANCE``."""
+    family = _system_family(expr, dists)
+    indices = _component_indices(expr)
+    if len(set(indices)) < len(indices):
+        raise PreconditionViolatedError(
+            "the closed form needs a read-once tree, in which no component "
+            "is referenced more than once"
+        )
+    cdf = [
+        _tree_cdf(expr, [component_cdf(d, level) for d in family])
+        for level in range(family[0].max_state + 1)
+    ]
+    # rounding may let the CDF dip by an ulp; masses are clamped at zero
+    pmf = cdf[:1] + [max(hi - lo, 0.0) for lo, hi in zip(cdf, cdf[1:])]
+    return SystemDistribution(tuple(pmf), tuple(cdf))
 
 
 def closed_form_cdf(
@@ -212,11 +303,8 @@ def closed_form_cdf(
     ``ORACLE_TOLERANCE``).
     """
     kind_evaluator(kind)  # validates the kind
-    family = _ensure_valid_family(dists)
-    values = [component_cdf(d, level) for d in family]
-    if kind == "series":
-        return 1.0 - math.prod(1.0 - v for v in values)
-    return math.prod(values)
+    values = [component_cdf(d, level) for d in _ensure_valid_family(dists)]
+    return _series_cdf(values) if kind == "series" else _parallel_cdf(values)
 
 
 def cdf_bounds(
@@ -231,29 +319,19 @@ def cdf_bounds(
     parallel the lower one is.
     """
     kind_evaluator(kind)
-    family = _ensure_valid_family(dists)
-    values = [component_cdf(d, level) for d in family]
-    lower = math.prod(values)
-    upper = 1.0 - math.prod(1.0 - v for v in values)
-    return lower, upper
+    values = [component_cdf(d, level) for d in _ensure_valid_family(dists)]
+    return _parallel_cdf(values), _series_cdf(values)
 
 
-def dominance_check(
+def _dominance(
     expr: StructureExpr,
     dists_primed: Sequence[DistributionLike],
     dists: Sequence[DistributionLike],
     limit: int | None = None,
     tolerance: float = ORACLE_TOLERANCE,
-) -> bool:
-    """Theorem check: componentwise CDF dominance carries to the system.
-
-    Requires component_cdf(dists[i], j) >= component_cdf(primed[i], j) at
-    every i, j (raises :class:`HypothesisViolatedError` otherwise), then
-    compares the two exact system CDFs at every level. The comparison
-    allows ``tolerance`` of slack because at the top level both sides equal
-    one exactly in real arithmetic and float summation may order them
-    either way.
-    """
+) -> tuple[bool, SystemDistribution, SystemDistribution]:
+    """:func:`dominance_check` verdict with the two exact system
+    distributions it compared (unprimed first)."""
     family = _ensure_valid_family(dists)
     primed = _ensure_valid_family(dists_primed)
     if len(family) != len(primed):
@@ -273,10 +351,30 @@ def dominance_check(
                 )
     system = exact_system_distribution(expr, family, limit)
     system_primed = exact_system_distribution(expr, primed, limit)
-    return all(
+    holds = all(
         pj >= ppj - tolerance
         for pj, ppj in zip(system.cdf, system_primed.cdf)
     )
+    return holds, system, system_primed
+
+
+def dominance_check(
+    expr: StructureExpr,
+    dists_primed: Sequence[DistributionLike],
+    dists: Sequence[DistributionLike],
+    limit: int | None = None,
+    tolerance: float = ORACLE_TOLERANCE,
+) -> bool:
+    """Theorem check: componentwise CDF dominance carries to the system.
+
+    Requires component_cdf(dists[i], j) >= component_cdf(primed[i], j) at
+    every i, j (raises :class:`HypothesisViolatedError` otherwise), then
+    compares the two exact system CDFs at every level. The comparison
+    allows ``tolerance`` of slack because at the top level both sides equal
+    one exactly in real arithmetic and float summation may order them
+    either way.
+    """
+    return _dominance(expr, dists_primed, dists, limit, tolerance)[0]
 
 
 def monte_carlo_cdf(
@@ -295,18 +393,11 @@ def monte_carlo_cdf(
     """
     if samples < 1:
         raise PreconditionViolatedError("samples must be at least 1")
-    if not isinstance(expr, StructureExpr):
-        raise TypeError("expr must be a StructureExpr")
-    family = _ensure_valid_family(dists)
+    _check_seed(seed)
+    family = _system_family(expr, dists)
     n = len(family)
-    if arity(expr) > n:
-        raise ArityMismatchError(
-            f"{n} distributions do not cover component indices up to "
-            f"{arity(expr)}"
-        )
     max_state = family[0].max_state
-    if not 0 <= level <= max_state:
-        raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
+    _check_level(level, max_state)
     cums = np.asarray([list(accumulate(d.pmf)) for d in family])
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0

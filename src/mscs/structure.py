@@ -193,21 +193,8 @@ def eval_expr_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
             f"matrix width {states.shape[1]} does not cover component "
             f"indices up to {arity(expr)}"
         )
-    return _eval_batch(expr, states)
-
-
-def _eval_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
-    if isinstance(expr, Component):
-        return states[:, expr.index - 1]
-    if isinstance(expr, Series):
-        return np.minimum.reduce([_eval_batch(c, states) for c in expr.children])
-    if isinstance(expr, Parallel):
-        return np.maximum.reduce([_eval_batch(c, states) for c in expr.children])
-    if isinstance(expr, KOutOfN):
-        vals = np.stack([_eval_batch(c, states) for c in expr.children], axis=1)
-        pick = vals.shape[1] - expr.k
-        return np.partition(vals, pick, axis=1)[:, pick]
-    raise TypeError(f"not a structure expression: {expr!r}")
+    # column views broadcast against each other like grid axes
+    return _eval_grid(expr, list(states.T))
 
 
 def eval_expr_grid(

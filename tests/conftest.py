@@ -116,6 +116,23 @@ def random_expr(rnd: random.Random, max_depth: int, max_index: int):
     return Series(children) if node == "series" else Parallel(children)
 
 
+def random_read_once_expr(rnd: random.Random, indices):
+    """Random tree referencing each of ``indices`` exactly once; series,
+    parallel and koon nodes cut the indices into consecutive groups."""
+    if len(indices) == 1:
+        return Component(indices[0])
+    node = rnd.choice(["series", "parallel", "koon"])
+    width = rnd.randint(2, min(4, len(indices)))
+    cuts = sorted(rnd.sample(range(1, len(indices)), width - 1))
+    bounds = list(zip([0, *cuts], [*cuts, len(indices)]))
+    children = tuple(
+        random_read_once_expr(rnd, indices[lo:hi]) for lo, hi in bounds
+    )
+    if node == "koon":
+        return KOutOfN(rnd.randint(1, width), children)
+    return Series(children) if node == "series" else Parallel(children)
+
+
 def random_pmf(rng, max_state):
     """Uniformly random PMF over 0..max_state (numpy Generator)."""
     raw = rng.random(max_state + 1)

@@ -170,14 +170,79 @@ def test_dist_closed_matches_exact(capsys):
         assert abs(a - b) <= 1e-12
 
 
+NESTED_PMFS = (
+    "0.1,0.2,0.3,0.4", "0.25,0.25,0.25,0.25", "0.4,0.3,0.2,0.1",
+    "0.05,0.15,0.3,0.5", "0.3,0.3,0.2,0.2", "0.6,0.1,0.1,0.2",
+    "0.2,0.5,0.2,0.1",
+)
+
+
+@pytest.mark.parametrize(
+    "structure,n",
+    [
+        ("series(c1, parallel(c2, c3))", 3),
+        ("parallel(series(c1, koon(2; c2, c3, c4)), koon(1; c5, parallel(c6, c7)))", 7),
+        ("koon(2; series(c1, c2), parallel(c3, koon(2; c4, c5, c6)), c7)", 7),
+    ],
+)
+def test_dist_closed_matches_exact_on_nested_trees(capsys, structure, n):
+    args = ["--structure", structure]
+    for pmf in NESTED_PMFS[:n]:
+        args += ["--pmf", pmf]
+    code, exact_out, _ = invoke(capsys, "dist", "--method", "exact", *args, "--json")
+    assert code == 0
+    code, closed_out, _ = invoke(capsys, "dist", "--method", "closed", *args, "--json")
+    assert code == 0
+    exact_doc = json.loads(exact_out)
+    closed_doc = check_schema("dist.schema.json", json.loads(closed_out))
+    for key in ("pmf", "cdf"):
+        for a, b in zip(exact_doc[key], closed_doc[key]):
+            assert abs(a - b) <= 1e-12
+
+
 def test_dist_closed_rejects_non_flat(capsys):
-    code, _, err = invoke(
+    # only trees that reference a component twice lack a closed form
+    code, out, err = invoke(
         capsys, "dist", "--method", "closed",
-        "--structure", "series(c1, parallel(c2, c3))",
+        "--structure", "series(c1, parallel(c1, c2))",
         "--pmf", "0.5,0.5",
     )
-    assert code == 2
-    assert "closed form" in err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "closed form" in err and "read-once" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--level", "5"],
+        ["--level", "-1"],
+        ["--level", "2", "--json"],
+        ["--level", "-1", "--method", "closed"],
+        ["--level", "5", "--method", "mc"],
+        ["--method", "mc", "--level", "0", "--seed", "-1"],
+        ["--pmf", "nan,1"],
+        ["--pmf", "0.5,nan", "--method", "closed"],
+        ["--pmf", "inf,0", "--method", "mc", "--level", "0"],
+    ],
+)
+def test_dist_rejects_bad_levels_pmfs_and_seeds(capsys, extra):
+    pmf = [] if "--pmf" in extra else ["--pmf", "0.5,0.5"]
+    code, out, err = invoke(
+        capsys, "dist", "--structure", "series(c1, c2)", *pmf, *extra
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pipeline_sweep_rejects_negative_seed(capsys):
+    code, out, err = invoke(
+        capsys, "pipeline", "sweep", "--spec", ABOVE, "--trials", "10",
+        "--seed", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err
 
 
 def test_dist_mc_deterministic(capsys):
@@ -270,6 +335,28 @@ def test_dominance(capsys):
     assert code == 0
     doc = check_schema("dominance.schema.json", json.loads(out))
     assert doc["holds"] is True
+
+
+def test_dominance_json_enumerates_each_side_once(capsys, monkeypatch):
+    import mscs.cli
+    import mscs.probability
+
+    calls = []
+    exact = mscs.probability.exact_system_distribution
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(mscs.probability, "exact_system_distribution", counting)
+    monkeypatch.setattr(mscs.cli, "exact_system_distribution", counting)
+    code, out, _ = invoke(
+        capsys, "dominance", "--structure", "series(c1, c2)",
+        "--pmf", "0.5,0.5", "--pmf-prime", "0.1,0.9", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["cdf"] == [0.75, 1.0]
+    assert len(calls) == 2
 
 
 def test_dominance_hypothesis_violation_exits_2(capsys):

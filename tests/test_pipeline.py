@@ -25,6 +25,8 @@ from mscs.pipeline import (
 )
 from mscs.probability import (
     ComponentDistribution,
+    cdf_bounds,
+    closed_form_cdf,
     exact_system_distribution,
 )
 from mscs.structure import Component, series
@@ -232,6 +234,8 @@ def test_sweep_preconditions():
     above = load_case_study("above_average")
     with pytest.raises(PreconditionViolatedError):
         sweep_state1(above, 0, 1)
+    with pytest.raises(PreconditionViolatedError, match="seed"):
+        sweep_state1(above, 5, -1)
     single = PipelineSpec(1, (Segment("a", ComponentDistribution((0.0, 1.0))),))
     with pytest.raises(PreconditionViolatedError):
         sweep_state1(single, 5, 1)
@@ -245,6 +249,49 @@ def test_sweep_preconditions():
     )
     with pytest.raises(PreconditionViolatedError, match="'c'"):
         sweep_state1(failing_mass, 5, 1)
+
+
+# Closed-form values on the shipped specs, recorded before the product
+# forms were folded into one recursion and compared with ``==``: per spec,
+# pipeline_cdf at levels 0..4 (the series closed form), the parallel
+# closed form at levels 0..4, and pipeline_state1_cdf.
+CLOSED_FORM_PINS = {
+    "default": (
+        (0.0, 0.6513215598999998, 0.9717524751000001, 0.9998951424, 1.0),
+        (0.0, 1.0000000000000006e-10, 5.9049000000000085e-06,
+         0.006046617599999999, 1.0),
+        0.6513215598999998,
+    ),
+    "above_average": (
+        (0.0, 0.9999940951, 0.9999940951, 0.9999940951, 1.0),
+        (0.0, 0.028247524899999984, 0.028247524899999984,
+         0.028247524899999984, 1.0),
+        0.9999940951,
+    ),
+    "below_average": (
+        (0.0, 0.9717524751000001, 0.9717524751000001, 0.9717524751000001,
+         1.0),
+        (0.0, 5.904899999999999e-06, 5.904899999999999e-06,
+         5.904899999999999e-06, 1.0),
+        0.9717524751000001,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(CLOSED_FORM_PINS))
+def test_closed_forms_bit_identical_on_shipped_specs(scenario):
+    series_cdf, parallel_cdf, state1 = CLOSED_FORM_PINS[scenario]
+    spec = load_case_study(scenario)
+    dists = spec.distributions
+    levels = range(spec.max_state + 1)
+    assert tuple(pipeline_cdf(spec, j) for j in levels) == series_cdf
+    assert tuple(closed_form_cdf("series", dists, j) for j in levels) == series_cdf
+    assert tuple(closed_form_cdf("parallel", dists, j) for j in levels) == parallel_cdf
+    for kind in ("series", "parallel"):
+        assert tuple(cdf_bounds(kind, dists, j) for j in levels) == tuple(
+            zip(parallel_cdf, series_cdf)
+        )
+    assert pipeline_state1_cdf(spec) == state1
 
 
 def test_export_sweep_csv(tmp_path):

@@ -6,26 +6,41 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_distribution, random_expr, random_pmf
+from conftest import (
+    oracle_distribution,
+    random_expr,
+    random_pmf,
+    random_read_once_expr,
+)
 from mscs.errors import (
     ArityMismatchError,
     HypothesisViolatedError,
     InvalidPMFError,
     LengthMismatchError,
     LevelOutOfRangeError,
+    PreconditionViolatedError,
 )
 from mscs.probability import (
+    ORACLE_TOLERANCE,
     ComponentDistribution,
     SystemDistribution,
     cdf_bounds,
     closed_form_cdf,
+    closed_form_distribution,
     component_cdf,
     dominance_check,
     exact_system_distribution,
     monte_carlo_cdf,
     validate_pmf,
 )
-from mscs.structure import Component, arity, parallel, parse_expr, series
+from mscs.structure import (
+    Component,
+    KOutOfN,
+    arity,
+    parallel,
+    parse_expr,
+    series,
+)
 
 c1, c2 = Component(1), Component(2)
 FAIR = ComponentDistribution((0.5, 0.5))
@@ -47,6 +62,8 @@ def test_validate_pmf():
     assert diag.residual == pytest.approx(0.1, abs=1e-12)
     assert validate_pmf((-0.1, 1.1)).kind == "negative_mass"
     assert validate_pmf((0.0, 1.1)).kind == "mass_above_one"
+    for pmf in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (-math.inf, 1.0)):
+        assert validate_pmf(pmf).kind == "non_finite"
     with pytest.raises(InvalidPMFError):
         ComponentDistribution(())
 
@@ -69,6 +86,10 @@ def test_system_distribution_accumulates():
         SystemDistribution.from_pmf((0.5, 0.4))
     with pytest.raises(InvalidPMFError):
         SystemDistribution.from_pmf((-0.1, 1.1))
+    assert sd.cdf_at(1) == 0.75
+    for level in (-1, 3):
+        with pytest.raises(LevelOutOfRangeError):
+            sd.cdf_at(level)
 
 
 def test_exact_examples():
@@ -161,6 +182,52 @@ def test_closed_form_agrees_with_enumerator():
                 ) <= 1e-12
 
 
+def _has_koon(expr):
+    if isinstance(expr, Component):
+        return False
+    return isinstance(expr, KOutOfN) or any(_has_koon(c) for c in expr.children)
+
+
+@pytest.mark.parametrize("max_state,n", [(1, 7), (2, 5), (3, 4), (4, 4)])
+def test_closed_form_distribution_matches_oracle_on_read_once_trees(max_state, n):
+    rnd = random.Random(max_state)
+    rng = np.random.default_rng(max_state)
+    koon_trees = 0
+    for _ in range(15):
+        # a shuffled subset: unused components must sum out too
+        indices = rnd.sample(range(1, n + 1), rnd.randint(1, n))
+        expr = random_read_once_expr(rnd, indices)
+        koon_trees += _has_koon(expr)
+        dists = [random_pmf(rng, max_state) for _ in range(n)]
+        got = closed_form_distribution(expr, dists)
+        pmf, cdf = oracle_distribution(expr, dists)
+        for a, b in zip(got.pmf + got.cdf, pmf + cdf):
+            assert abs(a - b) <= ORACLE_TOLERANCE
+    assert koon_trees > 0
+
+
+def test_closed_form_distribution_examples_and_validation():
+    got = closed_form_distribution(series(c1, c2), [FAIR, FAIR])
+    assert got.pmf == (0.75, 0.25) and got.cdf == (0.75, 1.0)
+    two_of_three = KOutOfN(2, (c1, c2, Component(3)))
+    # at or below level 0 when fewer than two components exceed it
+    assert closed_form_distribution(two_of_three, [FAIR] * 3).cdf[0] == 0.5
+    # the koon count rounds this CDF down by an ulp at the top level; the
+    # differenced masses must still be non-negative
+    skewed = [
+        (0.16666666666666666, 0.3333333333333333, 0.4999999999999999, 0.0),
+        (0.4545454545454546, 0.09090909090909093, 0.27272727272727276,
+         0.18181818181818185),
+    ]
+    dipping = closed_form_distribution(KOutOfN(2, (c1, c2)), skewed)
+    assert dipping.cdf[3] < dipping.cdf[2]
+    assert min(dipping.pmf) == 0.0
+    with pytest.raises(PreconditionViolatedError, match="read-once"):
+        closed_form_distribution(series(c1, parallel(c1, c2)), [FAIR, FAIR])
+    with pytest.raises(ArityMismatchError):
+        closed_form_distribution(series(c1, c2), [FAIR])
+
+
 def test_cdf_bounds_examples():
     assert cdf_bounds("series", [FAIR, FAIR], 0) == pytest.approx(
         (0.25, 0.75), abs=1e-15
@@ -220,6 +287,15 @@ def test_monte_carlo_accuracy_and_determinism():
     assert again.estimate == est.estimate  # bitwise
     other_seed = monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 0, 100_000, 43)
     assert other_seed.estimate != est.estimate
+
+
+def test_monte_carlo_validation():
+    with pytest.raises(PreconditionViolatedError, match="seed"):
+        monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 0, 10, -1)
+    with pytest.raises(PreconditionViolatedError):
+        monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 0, 0, 1)
+    with pytest.raises(LevelOutOfRangeError):
+        monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 2, 10, 1)
 
 
 def test_monte_carlo_single_sample():
