@@ -21,6 +21,7 @@ from .core import as_vector
 from .enumeration import LIMIT_ENV_VAR
 from .errors import MscsError, PropertyFailureError
 from .pipeline import (
+    _write_sweep_csv,
     export_results,
     load_pipeline_spec,
     pipeline_cdf,
@@ -266,13 +267,8 @@ def _cmd_pipeline_sweep(args) -> int:
                     "P_pipeline_1": best.performance,
                 },
                 "rows": [
-                    {
-                        "trial": r.trial,
-                        "p_1_1": r.p_1_1,
-                        "p_2_1": r.p_2_1,
-                        "P_pipeline_1": r.performance,
-                    }
-                    for r in result.rows
+                    {"trial": t, "p_1_1": a, "p_2_1": b, "P_pipeline_1": p}
+                    for t, a, b, p in zip(*result.columns())
                 ],
             }
         )
@@ -285,12 +281,7 @@ def _cmd_pipeline_sweep(args) -> int:
         print(f"argmax_P {best.performance:.10f}")
         print(f"corner_supremum {result.corner_supremum:.10f}")
     else:
-        print("trial,p_1_1,p_2_1,P_pipeline_1")
-        for r in result.rows:
-            print(
-                f"{r.trial},{r.p_1_1:.17g},{r.p_2_1:.17g},"
-                f"{r.performance:.17g}"
-            )
+        _write_sweep_csv(result, sys.stdout)
     return 0
 
 
@@ -365,7 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dist)
 
     p = sub.add_parser("bounds", help="product bounds on the system CDF")
-    p.add_argument("--kind", choices=["series", "parallel"], required=True)
+    p.add_argument(
+        "--kind",
+        choices=["series", "parallel"],
+        required=True,
+        help="validated and echoed in --json; both kinds print the same "
+        "bracket, which holds for any coherent structure",
+    )
     _add_dists(p)
     p.add_argument("--level", type=int, required=True)
     _add_json(p)

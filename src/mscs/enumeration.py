@@ -37,21 +37,23 @@ def resolve_limit(limit: int | None = None) -> int:
     """Effective enumeration limit: explicit value, else environment
     override, else the default.
 
-    Raises :class:`InvalidLimitError` when the environment value is not a
-    non-negative integer.
+    Raises :class:`InvalidLimitError` when the explicit or the environment
+    value is not a non-negative integer.
     """
     if limit is not None:
-        return limit
-    env = os.environ.get(LIMIT_ENV_VAR)
-    if env is None:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
+        source, raw, value = "limit", limit, limit
+    else:
+        raw = os.environ.get(LIMIT_ENV_VAR)
+        if raw is None:
+            return DEFAULT_ENUM_LIMIT
+        source = LIMIT_ENV_VAR
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise InvalidLimitError(
-            f"{LIMIT_ENV_VAR} must be a non-negative integer, got {env!r}"
+            f"{source} must be a non-negative integer, got {raw!r}"
         )
     return value
 

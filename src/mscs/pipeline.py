@@ -10,14 +10,14 @@ the first two are swept.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import TextIO, Union
 
 import numpy as np
 
@@ -41,6 +41,11 @@ _SCENARIO_FILES = {
 }
 
 _RESIDUAL_TOLERANCE = 1e-9
+
+_SWEEP_HEADER = "trial,p_1_1,p_2_1,P_pipeline_1\n"
+_SWEEP_ROW = "%d,%.17g,%.17g,%.17g\n"
+#: Sweep rows formatted per write, which bounds the text held at once.
+_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,18 +93,44 @@ class SweepRow:
     performance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """A state-1 sweep held as columns: row ``t`` (0-based) is trial
+    ``t + 1`` with draws ``draws[t]`` and value ``performance[t]``.
+
+    Equality compares the seed and every column bitwise.
+    """
+
+    draws: np.ndarray  # (trials, 2) float64: p_1_1, p_2_1
+    performance: np.ndarray  # (trials,) float64
     seed: int
-    trials: int
+
+    @property
+    def trials(self) -> int:
+        return len(self.performance)
+
+    def columns(
+        self, start: int = 0, stop: int | None = None
+    ) -> tuple[range, list[float], list[float], list[float]]:
+        """Trial numbers and the three float columns of rows
+        ``start:stop`` as Python values."""
+        stop = self.trials if stop is None else min(stop, self.trials)
+        draws = self.draws[start:stop]
+        return (
+            range(start + 1, stop + 1),
+            draws[:, 0].tolist(),
+            draws[:, 1].tolist(),
+            self.performance[start:stop].tolist(),
+        )
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(map(SweepRow, *self.columns()))
 
     def argmax_row(self) -> SweepRow:
-        best = self.rows[0]
-        for row in self.rows[1:]:
-            if row.performance > best.performance:
-                best = row
-        return best
+        """The first row of largest performance."""
+        t = int(np.argmax(self.performance))
+        return SweepRow(*(column[0] for column in self.columns(t, t + 1)))
 
     @property
     def corner_supremum(self) -> float:
@@ -108,6 +139,17 @@ class SweepResult:
         The formula is strictly increasing in both draws, so no sample
         attains it."""
         return 1.0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return self.seed == other.seed and all(
+            mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+            for mine, theirs in (
+                (self.draws, other.draws),
+                (self.performance, other.performance),
+            )
+        )
 
 
 def case_study_path(scenario: str = "default") -> Path:
@@ -265,11 +307,20 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
     draws = rng.random((trials, 2))
     np.maximum(draws, np.finfo(np.float64).tiny, out=draws)
     performance = 1.0 - (1.0 - draws[:, 0]) * (1.0 - draws[:, 1]) * held_product
-    rows = tuple(
-        SweepRow(t + 1, float(draws[t, 0]), float(draws[t, 1]), float(performance[t]))
-        for t in range(trials)
-    )
-    return SweepResult(rows, seed, trials)
+    return SweepResult(draws, performance, seed)
+
+
+def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
+    """Write a sweep's CSV header and rows to a text stream, formatting
+    each block of rows with one ``%`` call over the columns' values."""
+    handle.write(_SWEEP_HEADER)
+    for start in range(0, result.trials, _ROW_BLOCK):
+        columns = result.columns(start, start + _ROW_BLOCK)
+        count = len(columns[0])
+        fields: list = [None] * (len(columns) * count)
+        for k, column in enumerate(columns):
+            fields[k :: len(columns)] = column
+        handle.write(_SWEEP_ROW * count % tuple(fields))
 
 
 def export_results(
@@ -283,22 +334,12 @@ def export_results(
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
+    if not isinstance(result, (SweepResult, SystemDistribution)):
+        raise TypeError(f"cannot export {type(result).__name__}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
         if isinstance(result, SweepResult):
-            writer.writerow(["trial", "p_1_1", "p_2_1", "P_pipeline_1"])
-            for row in result.rows:
-                writer.writerow(
-                    [
-                        row.trial,
-                        f"{row.p_1_1:.17g}",
-                        f"{row.p_2_1:.17g}",
-                        f"{row.performance:.17g}",
-                    ]
-                )
-        elif isinstance(result, SystemDistribution):
-            writer.writerow(["level", "pmf", "cdf"])
-            for level, (p, c) in enumerate(zip(result.pmf, result.cdf)):
-                writer.writerow([level, f"{p:.17g}", f"{c:.17g}"])
+            _write_sweep_csv(result, handle)
         else:
-            raise TypeError(f"cannot export {type(result).__name__}")
+            handle.write("level,pmf,cdf\n")
+            for level, (p, c) in enumerate(zip(result.pmf, result.cdf)):
+                handle.write("%d,%.17g,%.17g\n" % (level, p, c))

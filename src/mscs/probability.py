@@ -312,10 +312,12 @@ def cdf_bounds(
 ) -> tuple[float, float]:
     """(lower, upper) bracket for the exact system CDF at one level.
 
-    The lower bound is the product of the component CDFs, the upper bound
-    one minus the product of their complements; both brackets hold for any
-    coherent structure because its level is sandwiched between the series
-    and parallel envelopes. For series the upper bound is tight; for
+    The lower bound is the product of the component CDFs (the parallel
+    form), the upper bound one minus the product of their complements (the
+    series form). The bracket holds for any coherent structure, because
+    its level is sandwiched between the series and parallel envelopes, so
+    it does not depend on ``kind``: ``kind`` is validated, and both values
+    return the same pair. For series the upper bound is tight; for
     parallel the lower one is.
     """
     kind_evaluator(kind)

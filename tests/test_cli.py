@@ -470,6 +470,27 @@ def test_limit_env_rejects_malformed_values(capsys, monkeypatch, value):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["coherence", "--structure", "series(c1,c2)", "--max-state", "2"],
+        ["ucv", "--structure", "series(c1,c2)", "--max-state", "2",
+         "--level", "1"],
+        ["dist", "--method", "exact", "--structure", "series(c1,c2)",
+         "--pmf", "0.5,0.5"],
+    ],
+    ids=["coherence", "ucv", "dist_exact"],
+)
+def test_limit_flag_rejects_negative_value(capsys, command):
+    # the flag shares the environment variable's check, so -5 is malformed
+    # rather than a limit the state space is "over"
+    code, out, err = invoke(capsys, *command, "--limit", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: limit must be a non-negative integer, got -5\n"
+    code, _, err = invoke(capsys, *command, "--limit", "0")
+    assert code == 2 and "over the limit 0" in err
+
+
 def test_limit_env_rejects_malformed_value_in_a_fresh_process():
     proc = subprocess.run(
         [sys.executable, "-m", "mscs", "coherence", "--structure",

@@ -29,6 +29,7 @@ from mscs.core import constant_vector, leq, update_at
 from mscs.enumeration import level_table
 from mscs.errors import (
     ExplosionLimitError,
+    InvalidLimitError,
     LevelOutOfRangeError,
     PreconditionViolatedError,
     UCVConsistencyError,
@@ -181,6 +182,14 @@ def test_explosion_guard():
         check_monotonicity(series(c1, c2), 2, 4, limit=10)
     with pytest.raises(ExplosionLimitError):
         enumerate_ucv(series(c1, c2), 2, 4, 1, limit=10)
+
+
+@pytest.mark.parametrize("limit", [-1, 1.5, True, "100"])
+def test_explicit_limit_must_be_non_negative_integer(limit):
+    with pytest.raises(InvalidLimitError, match="limit must be"):
+        check_monotonicity(series(c1, c2), 2, 4, limit=limit)
+    with pytest.raises(InvalidLimitError):
+        enumerate_ucv(series(c1, c2), 2, 4, 1, limit=limit)
 
 
 def test_structure_bounds_examples():

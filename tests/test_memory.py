@@ -1,8 +1,11 @@
-"""Peak-allocation regression for the exhaustive passes.
+"""Peak-allocation regressions, measured with ``tracemalloc`` (numpy
+reports its buffers to it).
 
-Each pass over ``{0..4}^8`` (390,625 vectors) must stay within 8 bytes per
-vector, measured with ``tracemalloc`` (numpy reports its buffers to it).
-A single full-space int64 or float64 intermediate alone would exceed that.
+Each exhaustive pass over ``{0..4}^8`` (390,625 vectors) must stay within
+8 bytes per vector; a single full-space int64 or float64 intermediate
+alone would exceed that. The state-1 sweep must stay within 48 bytes per
+trial: its columns take 24, and one Python float per trial alone would
+take another 24.
 """
 
 import tracemalloc
@@ -12,6 +15,7 @@ import pytest
 
 from conftest import random_pmf
 from mscs.coherence import coherence_report, enumerate_ucv
+from mscs.pipeline import load_case_study, sweep_state1
 from mscs.probability import exact_system_distribution
 from mscs.structure import parse_expr
 
@@ -29,13 +33,29 @@ PASSES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PASSES))
-def test_exhaustive_pass_peak_bytes_per_vector(name):
-    PASSES[name]()  # warm caches outside the measurement
+SWEEP_TRIALS = 10**5
+SWEEP_BYTES_PER_TRIAL = 48
+
+
+def peak_bytes(call):
+    call()  # warm caches outside the measurement
     tracemalloc.start()
     try:
-        PASSES[name]()
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_exhaustive_pass_peak_bytes_per_vector(name):
+    peak = peak_bytes(PASSES[name])
     assert peak / VECTORS <= BYTES_PER_VECTOR, f"{peak / VECTORS:.2f} B/vector"
+
+
+def test_sweep_peak_bytes_per_trial():
+    spec = load_case_study("above_average")
+    peak = peak_bytes(lambda: sweep_state1(spec, SWEEP_TRIALS, 7))
+    per_trial = peak / SWEEP_TRIALS
+    assert per_trial <= SWEEP_BYTES_PER_TRIAL, f"{per_trial:.1f} B/trial"

@@ -1,9 +1,12 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from mscs.cli import run_cli
 from mscs.errors import (
     InvalidPMFError,
     LevelOutOfRangeError,
@@ -13,6 +16,8 @@ from mscs.errors import (
 from mscs.pipeline import (
     PipelineSpec,
     Segment,
+    SweepResult,
+    SweepRow,
     case_study_path,
     export_results,
     load_case_study,
@@ -337,3 +342,71 @@ def test_export_errors(tmp_path):
         export_results(42, tmp_path / "x.csv")
     with pytest.raises(OSError):
         export_results(result, tmp_path / "missing" / "x.csv")
+
+
+def oracle_sweep_csv(result):
+    """The per-row ``csv.writer`` export that the batched writer replaced."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["trial", "p_1_1", "p_2_1", "P_pipeline_1"])
+    for row in result.rows:
+        writer.writerow(
+            [
+                row.trial,
+                f"{row.p_1_1:.17g}",
+                f"{row.p_2_1:.17g}",
+                f"{row.performance:.17g}",
+            ]
+        )
+    return handle.getvalue()
+
+
+# Seed 11026 draws 4.97e-06 in its first trial, so every trial count
+# renders at least one float in exponent notation.
+@pytest.mark.parametrize("seed", [7, 11026])
+@pytest.mark.parametrize("trials", [1, 3, 65535, 65536, 65537, 200000])
+def test_sweep_csv_and_stdout_match_per_row_oracle(
+    tmp_path, capsys, trials, seed
+):
+    result = sweep_state1(load_case_study("above_average"), trials, seed)
+    want = oracle_sweep_csv(result)
+    if seed == 11026:
+        assert "e-06," in want.splitlines()[1]
+    path = tmp_path / "sweep.csv"
+    export_results(result, path)
+    assert path.read_bytes() == want.encode()
+    code = run_cli(
+        ["pipeline", "sweep", "--spec", str(case_study_path("above_average")),
+         "--trials", str(trials), "--seed", str(seed)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == want
+
+
+def test_sweep_columns_rows_and_equality():
+    result = sweep_state1(load_case_study("above_average"), 20, 5)
+    assert result.draws.shape == (20, 2) and result.performance.shape == (20,)
+    assert result.rows == tuple(
+        SweepRow(t + 1, float(a), float(b), float(p))
+        for t, ((a, b), p) in enumerate(zip(result.draws, result.performance))
+    )
+    assert result.columns(18, 99) == (
+        range(19, 21),
+        result.draws[18:, 0].tolist(),
+        result.draws[18:, 1].tolist(),
+        result.performance[18:].tolist(),
+    )
+    negative, positive = result.draws.copy(), result.draws.copy()
+    negative[4, 1], positive[4, 1] = -0.0, 0.0  # equal values, other bits
+    assert SweepResult(negative, result.performance, 5) != SweepResult(
+        positive, result.performance, 5
+    )
+    assert result != SweepResult(result.draws, result.performance, 6)
+    assert result != SweepResult(result.draws[:19], result.performance[:19], 5)
+    assert result != result.rows
+
+
+def test_sweep_argmax_returns_first_of_tied_maxima():
+    draws = np.array([[0.1, 0.2], [0.6, 0.5], [0.3, 0.4], [0.5, 0.6]])
+    result = SweepResult(draws, np.array([0.2, 0.9, 0.4, 0.9]), 0)
+    assert result.argmax_row() == SweepRow(2, 0.6, 0.5, 0.9)
