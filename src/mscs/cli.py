@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from . import __version__
 from .coherence import coherence_report, enumerate_ucv
 from .core import as_vector
-from .enumeration import LIMIT_ENV_VAR
+from .enumeration import LIMIT_ENV_VAR, resolve_limit
 from .errors import MscsError, PropertyFailureError
 from .pipeline import (
     _write_sweep_csv,
@@ -285,11 +285,20 @@ def _cmd_pipeline_sweep(args) -> int:
     return 0
 
 
+class _LimitAction(argparse.Action):
+    """Store ``--limit`` once :func:`resolve_limit` accepts it, so every
+    command refuses a malformed limit, whether it enumerates or not."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, resolve_limit(values))
+
+
 def _add_limit(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--limit",
         type=int,
         default=None,
+        action=_LimitAction,
         help=f"enumeration guard override (also {LIMIT_ENV_VAR})",
     )
 
@@ -409,11 +418,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        code = exit_.code
-        return 0 if code in (0, None) else 2
-    try:
         return args.handler(args)
+    except SystemExit as exit_:
+        return 0 if exit_.code in (0, None) else 2
     except PropertyFailureError as err:
         print(f"property failure: {err}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import TextIO, Union
@@ -44,8 +44,8 @@ _RESIDUAL_TOLERANCE = 1e-9
 
 _SWEEP_HEADER = "trial,p_1_1,p_2_1,P_pipeline_1\n"
 _SWEEP_ROW = "%d,%.17g,%.17g,%.17g\n"
-#: Sweep rows formatted per write, which bounds the text held at once.
-_ROW_BLOCK = 1 << 16
+#: Sweep rows rendered per write, which bounds the bytes held at once.
+_ROW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -310,17 +310,134 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
     return SweepResult(draws, performance, seed)
 
 
+# The sweep CSV kernel (see _sweep_csv_rows) renders text as uint32 words
+# of four bytes; a NUL byte marks a place that prints nothing.
+@cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 as one word each: all of them,
+    with the leading zeros NUL, and with the trailing zeros NUL (0 is all
+    NUL in the last two). Built on first use, so importing costs nothing."""
+    value = np.arange(10_000, dtype=np.int32)[:, None]
+    place = np.array([1000, 100, 10, 1], np.int32)
+    digits = (value // place % 10 + 48).astype(np.uint8)
+    leading = np.where(value < place, np.uint8(0), digits)
+    trailing = np.where(value % (10 * place) == 0, np.uint8(0), digits)
+    return tuple(t.view(np.uint32).ravel() for t in (digits, leading, trailing))
+
+
+def _words(text: bytes) -> np.ndarray:
+    return np.frombuffer(text, np.uint8).view(np.uint32)
+
+
+def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles into two halves of at most 26 significant bits whose
+    sum is exact, so products of halves are exact (Veltkamp)."""
+    scaled = v * 134217729.0  # 2**27 + 1
+    high = scaled - (scaled - v)
+    return high, v - high
+
+
+#: 10**e for e = -4..-1. Each double lies just above the power it names,
+#: so ``x >= 1e-k`` holds for a double x exactly when x >= 10**-k.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+#: 10**(16 - e) for the same e: exact doubles (10**p is one for p <= 22).
+_SCALES = np.array([1e20, 1e19, 1e18, 1e17])
+_SCALES_HIGH, _SCALES_LOW = _veltkamp_split(_SCALES)
+#: Indexed by 10 * (e + 4) + d: the -e - 1 zeros after the point, then d.
+_ZEROS_AND_DIGIT = _words(
+    b"".join(
+        b"\0" * (e + 4) + b"0" * (-e - 1) + b"%d" % d
+        for e in range(-4, 0)
+        for d in range(10)
+    )
+)
+_COMMA_POINT, _NEWLINE = _words(b",0.\0\n\0\0\0")
+
+
+def _base_10000(values: np.ndarray, groups: int) -> list[np.ndarray]:
+    """``groups`` base-10000 digits of non-negative int64 ``values``,
+    most significant first (the first one takes what is left)."""
+    out = []
+    for _ in range(groups - 1):
+        quotient = values // 10_000
+        out.append(values - quotient * 10_000)
+        values = quotient
+    out.append(values)
+    return out[::-1]
+
+
+def _sweep_csv_rows(first_trial: int, values: np.ndarray) -> str:
+    """``_SWEEP_ROW % (first_trial + i, *values[i])`` for each row ``i`` of
+    the ``(count, 3)`` float64 array ``values``, byte for byte.
+
+    Rows whose three floats all lie in ``[1e-4, 1)`` are rendered by array
+    arithmetic. There ``%.17g`` prints ``x`` in fixed notation: ``0.``,
+    then ``-e - 1`` zeros, then the correctly rounded 17-digit integer
+    ``D = round(x * 10**(16 - e))`` without its trailing zeros, where
+    ``10**e <= x < 10**(e + 1)``. The product is formed exactly as
+    ``high + error`` (Dekker's two-product). ``high`` is at least
+    ``10**16 > 2**53``, so it is an even integer, and ``high + rint(error)``
+    is ``D`` rounded half to even, as ``%`` rounds. ``D`` stays below
+    ``10**17``: the largest double below ``10**(e + 1)`` is more than ten
+    units of the last digit away from it. Every other row goes through the
+    format string itself.
+    """
+    count = len(values)
+    all_digits, lstripped, rstripped = _digit_words()
+    in_range = (values >= 1e-4) & (values < 1.0)
+    # rows printed by % get a stand-in, so no NaN reaches the int casts
+    x = np.where(in_range, values, 0.5)
+    decade = np.searchsorted(_DECADES, x, side="right") - 1
+    high = x * _SCALES[decade]
+    x_high, x_low = _veltkamp_split(x)
+    s_high, s_low = _SCALES_HIGH[decade], _SCALES_LOW[decade]
+    error = (
+        (x_high * s_high - high) + x_high * s_low + x_low * s_high
+    ) + x_low * s_low
+    mantissa = high.astype(np.int64) + np.rint(error).astype(np.int64)
+
+    # Words of a row: the trial number, then per field ",0." and the zeros
+    # after the point with the leading digit and four words of 16 digits,
+    # then the newline. Deleting the NULs leaves the row as printed.
+    trial = np.arange(first_trial, first_trial + count)
+    groups = -(-len(str(first_trial + count - 1)) // 4)
+    row = np.empty((count, groups + 3 * 6 + 1), np.uint32)
+    shown = np.zeros(count, bool)
+    for j, digits in enumerate(_base_10000(trial, groups)):
+        row[:, j] = np.where(shown, all_digits[digits], lstripped[digits])
+        shown |= digits > 0
+    fields = row[:, groups:-1].reshape(count, 3, 6)
+    fields[..., 0] = _COMMA_POINT
+    leading, *rest = _base_10000(mantissa, 5)
+    fields[..., 1] = _ZEROS_AND_DIGIT[10 * decade + leading]
+    shown = np.zeros(mantissa.shape, bool)
+    for j in range(3, -1, -1):
+        fields[..., 2 + j] = np.where(
+            shown, all_digits[rest[j]], rstripped[rest[j]]
+        )
+        shown |= rest[j] > 0
+    row[:, -1] = _NEWLINE
+
+    pieces = []
+    done = 0
+    for i in np.flatnonzero(~in_range.all(axis=1)).tolist() + [count]:
+        pieces.append(row[done:i].tobytes().translate(None, b"\0").decode())
+        if i < count:
+            pieces.append(_SWEEP_ROW % (first_trial + i, *values[i].tolist()))
+        done = i + 1
+    return "".join(pieces)
+
+
 def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
-    """Write a sweep's CSV header and rows to a text stream, formatting
-    each block of rows with one ``%`` call over the columns' values."""
+    """Write a sweep's CSV header and rows to a text stream, a block of
+    rows at a time."""
     handle.write(_SWEEP_HEADER)
     for start in range(0, result.trials, _ROW_BLOCK):
-        columns = result.columns(start, start + _ROW_BLOCK)
-        count = len(columns[0])
-        fields: list = [None] * (len(columns) * count)
-        for k, column in enumerate(columns):
-            fields[k :: len(columns)] = column
-        handle.write(_SWEEP_ROW * count % tuple(fields))
+        stop = min(start + _ROW_BLOCK, result.trials)
+        values = np.empty((stop - start, 3))
+        values[:, :2] = result.draws[start:stop]
+        values[:, 2] = result.performance[start:stop]
+        handle.write(_sweep_csv_rows(start + 1, values))
 
 
 def export_results(

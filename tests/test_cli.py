@@ -478,8 +478,10 @@ def test_limit_env_rejects_malformed_values(capsys, monkeypatch, value):
          "--level", "1"],
         ["dist", "--method", "exact", "--structure", "series(c1,c2)",
          "--pmf", "0.5,0.5"],
+        ["dominance", "--structure", "series(c1,c2)", "--pmf", "0.5,0.5",
+         "--pmf-prime", "0.1,0.9"],
     ],
-    ids=["coherence", "ucv", "dist_exact"],
+    ids=["coherence", "ucv", "dist_exact", "dominance"],
 )
 def test_limit_flag_rejects_negative_value(capsys, command):
     # the flag shares the environment variable's check, so -5 is malformed
@@ -489,6 +491,18 @@ def test_limit_flag_rejects_negative_value(capsys, command):
     assert err == "error: limit must be a non-negative integer, got -5\n"
     code, _, err = invoke(capsys, *command, "--limit", "0")
     assert code == 2 and "over the limit 0" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "mc"])
+def test_limit_flag_checked_by_commands_that_do_not_enumerate(capsys, method):
+    command = ["dist", "--method", method, "--structure", "series(c1,c2)",
+               "--pmf", "0.5,0.5", "--level", "0"]
+    code, out, err = invoke(capsys, *command, "--limit", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: limit must be a non-negative integer, got -5\n"
+    # a well-formed limit is accepted and bounds nothing here
+    code, out, err = invoke(capsys, *command, "--limit", "0")
+    assert code == 0 and out and err == ""
 
 
 def test_limit_env_rejects_malformed_value_in_a_fresh_process():

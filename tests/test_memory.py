@@ -6,6 +6,11 @@ Each exhaustive pass over ``{0..4}^8`` (390,625 vectors) must stay within
 alone would exceed that. The state-1 sweep must stay within 48 bytes per
 trial: its columns take 24, and one Python float per trial alone would
 take another 24.
+
+The CSV export of a 1e5-trial sweep must peak at no more than 12 MB. It
+renders a fixed block of rows at a time, so its peak does not grow with
+the trial count: 2.6 MB with 4,096-row blocks. Formatting 65,536-row
+blocks through a tuple of Python objects per field peaked at 19.2 MB.
 """
 
 import tracemalloc
@@ -15,7 +20,7 @@ import pytest
 
 from conftest import random_pmf
 from mscs.coherence import coherence_report, enumerate_ucv
-from mscs.pipeline import load_case_study, sweep_state1
+from mscs.pipeline import export_results, load_case_study, sweep_state1
 from mscs.probability import exact_system_distribution
 from mscs.structure import parse_expr
 
@@ -35,6 +40,7 @@ PASSES = {
 
 SWEEP_TRIALS = 10**5
 SWEEP_BYTES_PER_TRIAL = 48
+SWEEP_EXPORT_PEAK_BYTES = 12 * 10**6
 
 
 def peak_bytes(call):
@@ -59,3 +65,9 @@ def test_sweep_peak_bytes_per_trial():
     peak = peak_bytes(lambda: sweep_state1(spec, SWEEP_TRIALS, 7))
     per_trial = peak / SWEEP_TRIALS
     assert per_trial <= SWEEP_BYTES_PER_TRIAL, f"{per_trial:.1f} B/trial"
+
+
+def test_sweep_export_peak_bytes(tmp_path):
+    result = sweep_state1(load_case_study("above_average"), SWEEP_TRIALS, 7)
+    peak = peak_bytes(lambda: export_results(result, tmp_path / "sweep.csv"))
+    assert peak <= SWEEP_EXPORT_PEAK_BYTES, f"{peak / 1e6:.1f} MB"

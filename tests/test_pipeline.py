@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mscs.cli import run_cli
 from mscs.errors import (
@@ -14,6 +16,7 @@ from mscs.errors import (
     SpecFormatError,
 )
 from mscs.pipeline import (
+    _SWEEP_ROW,
     PipelineSpec,
     Segment,
     SweepResult,
@@ -27,6 +30,7 @@ from mscs.pipeline import (
     set_state1,
     state1_performance,
     sweep_state1,
+    _sweep_csv_rows,
 )
 from mscs.probability import (
     ComponentDistribution,
@@ -410,3 +414,64 @@ def test_sweep_argmax_returns_first_of_tied_maxima():
     draws = np.array([[0.1, 0.2], [0.6, 0.5], [0.3, 0.4], [0.5, 0.6]])
     result = SweepResult(draws, np.array([0.2, 0.9, 0.4, 0.9]), 0)
     assert result.argmax_row() == SweepRow(2, 0.6, 0.5, 0.9)
+
+
+def format_rows(first_trial, values):
+    return "".join(
+        _SWEEP_ROW % (first_trial + i, *row)
+        for i, row in enumerate(values.tolist())
+    )
+
+
+DECADE_EDGES = [
+    float(np.nextafter(10.0**-k, side)) for k in range(1, 6) for side in (0, 1)
+]
+SPECIAL_FIELDS = [0.0, 1.0, float(np.finfo(float).tiny), *DECADE_EDGES]
+# Trial numbers that end one digit width or start the next.
+WIDTH_EDGES = [1, 9, 10, 9_999, 10_000, 99_999_999, 10**8, 10**12 - 1]
+
+fields = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(SPECIAL_FIELDS),
+    # the draws of the sweep
+    st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+    # where the performance column lives
+    st.floats(1.0 - 1e-12, 1.0),
+    # k * 2**-m with m = 17 - e and k odd, where 10**e <= x < 10**(e + 1),
+    # is a rounding tie: x * 10**(16 - e) is half an odd integer
+    st.builds(
+        lambda k, m: k * 2.0**-m, st.integers(1, 2**18), st.integers(18, 21)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first_trial=st.builds(
+        lambda edge, back: max(1, edge - back),
+        st.sampled_from(WIDTH_EDGES),
+        st.integers(0, 5),
+    ),
+    rows=st.lists(st.tuples(fields, fields, fields), min_size=1, max_size=12),
+)
+@example(first_trial=99_999_999, rows=[(0.5, 0.25, 0.125)] * 3)
+def test_sweep_csv_rows_match_format_string(first_trial, rows):
+    values = np.array(rows, dtype=np.float64)
+    assert _sweep_csv_rows(first_trial, values) == format_rows(first_trial, values)
+
+
+@pytest.mark.parametrize("first_trial", WIDTH_EDGES)
+def test_sweep_csv_rows_on_decade_edges_ties_and_fallbacks(first_trial):
+    rng = np.random.default_rng(first_trial)
+    ties = [
+        k * 2.0 ** (e - 17)
+        for e, k in [(-1, 26_215), (-1, 262_143), (-2, 5_243), (-2, 52_427),
+                     (-3, 1_049), (-3, 10_485), (-4, 211), (-4, 2_097)]
+    ]
+    near_one = (1.0 - rng.random(30) * 1e-12).tolist()
+    values = np.array(
+        SPECIAL_FIELDS + ties + near_one + rng.random(3 * 45).tolist()
+    )
+    rng.shuffle(values)
+    values = values.reshape(-1, 3)
+    assert _sweep_csv_rows(first_trial, values) == format_rows(first_trial, values)
