@@ -2,10 +2,21 @@
 
 A structure function is coherent when it is monotone, every component is
 relevant at every level, and the constant vector of any level maps to that
-level. The checks here enumerate the full state space (guarded by the
-enumeration limit), so passing them is a proof for the given size, not a
-sample. Counterexamples are deterministic: the lexicographically least
-violator is reported, with component 1 as the most significant digit.
+level. Passing a check is a proof for the given size, not a sample, and
+counterexamples are deterministic: the lexicographically least violator
+is reported, with component 1 as the most significant digit.
+
+Arbitrary callables are checked by enumerating the full state space
+(guarded by the enumeration limit). Expression trees are checked through
+their binary image instead. Series (min), parallel (max) and koon (an
+order statistic) commute with any non-decreasing map applied to every
+component, so for every level j >= 1, phi(x) >= j exactly when the binary
+tree phi_B gives 1 on the indicator vector 1[x >= j] (the class of
+Barlow & Wu, *Coherent systems with multistate components*, Math. Oper.
+Res. 1978). Trees are therefore monotone, and relevance and upper
+critical vectors at every level follow from one pass over the 2^n
+vectors of ``{0, 1}^n``. The guard still counts ``(max_state+1)^n``, so
+the limit means the same for both routes.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from .core import (
 )
 from .enumeration import (
     digits_of,
+    ensure_enumerable,
     level_table,
     resolve_limit,
 )
@@ -41,6 +53,7 @@ from .errors import (
 )
 from .structure import (
     Kind,
+    StructureExpr,
     StructureFunction,
     as_level_function,
     kind_evaluator,
@@ -190,8 +203,22 @@ def check_monotonicity(
 
     On failure, returns the lexicographically least violating pair (x, y).
     """
+    if isinstance(structure, StructureExpr):
+        # min, max and order statistics of monotone children are monotone;
+        # the binary image is built only for its guard and arity checks
+        _binary_image(structure, n_components, max_state, limit)
+        return MonotonicityResult(True)
     flat = level_table(structure, n_components, max_state, limit)
     return _monotonicity_from_table(flat, n_components, max_state)
+
+
+def _binary_image(
+    expr: StructureExpr, n_components: int, max_state: int, limit: int | None
+) -> np.ndarray:
+    """Level table of ``expr`` over ``{0, 1}^n``, after the same guard and
+    arity checks, in the same order, as the full table would get."""
+    ensure_enumerable(n_components, max_state, limit)
+    return level_table(expr, n_components, 1, limit)
 
 
 def _monotonicity_from_table(
@@ -239,6 +266,9 @@ def check_relevance(
 ) -> tuple[RelevanceEntry, ...]:
     """For every component and level, search for a context in which only
     that component's level produces that system level."""
+    if isinstance(structure, StructureExpr):
+        binary = _binary_image(structure, n_components, max_state, limit)
+        return _relevance_from_binary(binary, n_components, max_state)
     flat = level_table(structure, n_components, max_state, limit)
     return _relevance_from_table(flat, n_components, max_state)
 
@@ -263,17 +293,45 @@ def _relevance_from_table(
                     RelevanceEntry(axis + 1, level, True, witness, None)
                 )
             else:
-                entries.append(
-                    RelevanceEntry(
-                        axis + 1,
-                        level,
-                        False,
-                        None,
-                        f"no context makes the system level {level} depend "
-                        f"on component {axis + 1} alone",
-                    )
-                )
+                entries.append(_irrelevant(axis + 1, level))
     return tuple(entries)
+
+
+def _relevance_from_binary(
+    binary: np.ndarray, n_components: int, max_state: int
+) -> tuple[RelevanceEntry, ...]:
+    """Relevance of a tree at every level from its binary image.
+
+    A component is relevant at level j exactly when it is relevant in the
+    binary tree. The least witness at level j is ``min(j+1, max_state)``
+    times the least binary context: mapping every context entry to that
+    scale if it reaches it and to 0 otherwise keeps a witness a witness
+    and never raises it.
+    """
+    entries: list[RelevanceEntry] = []
+    # binary levels 0 and 1 ask for the same context; take level 1's
+    for base in _relevance_from_table(binary, n_components, 1)[1::2]:
+        for level in range(max_state + 1):
+            if base.passed:
+                scale = min(level + 1, max_state)
+                witness = tuple(scale * v for v in base.witness)
+                entries.append(
+                    RelevanceEntry(base.component, level, True, witness, None)
+                )
+            else:
+                entries.append(_irrelevant(base.component, level))
+    return tuple(entries)
+
+
+def _irrelevant(component: int, level: int) -> RelevanceEntry:
+    return RelevanceEntry(
+        component,
+        level,
+        False,
+        None,
+        f"no context makes the system level {level} depend "
+        f"on component {component} alone",
+    )
 
 
 def _context_vector(
@@ -305,13 +363,21 @@ def coherence_report(
     max_state: int,
     limit: int | None = None,
 ) -> CoherenceReport:
-    """Run all three coherence checks over one shared level table."""
-    flat = level_table(structure, n_components, max_state, limit)
+    """Run all three coherence checks over one shared level table: the
+    binary image for expression trees, the full space for callables."""
+    if isinstance(structure, StructureExpr):
+        binary = _binary_image(structure, n_components, max_state, limit)
+        monotonicity = MonotonicityResult(True)
+        relevance = _relevance_from_binary(binary, n_components, max_state)
+    else:
+        flat = level_table(structure, n_components, max_state, limit)
+        monotonicity = _monotonicity_from_table(flat, n_components, max_state)
+        relevance = _relevance_from_table(flat, n_components, max_state)
     return CoherenceReport(
         n_components,
         max_state,
-        _monotonicity_from_table(flat, n_components, max_state),
-        _relevance_from_table(flat, n_components, max_state),
+        monotonicity,
+        relevance,
         check_boundary(structure, n_components, max_state),
     )
 
@@ -410,10 +476,30 @@ def enumerate_ucv(
     positive digit) is marked. Everything runs on boolean tables of one
     byte per vector. Pairwise incomparability of the result is asserted
     afterwards as a self-check on the enumeration.
+
+    Expression trees run this pass on their binary image: for level j >= 1
+    the upper critical vectors are j times the binary ones to level 1, in
+    the same order, and the zero vector is the only one to level 0.
     """
     if not 0 <= level <= max_state:
         raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
-    flat = level_table(structure, n_components, max_state, limit)
+    if isinstance(structure, StructureExpr):
+        binary = _binary_image(structure, n_components, max_state, limit)
+        # binary level 0 yields the zero vector, which scales to itself
+        members = tuple(
+            tuple(level * v for v in vec)
+            for vec in _ucv_from_table(binary, n_components, 1, min(level, 1))
+        )
+    else:
+        flat = level_table(structure, n_components, max_state, limit)
+        members = _ucv_from_table(flat, n_components, max_state, level)
+    _assert_incomparable(members, level)
+    return UCVSet(level, members)
+
+
+def _ucv_from_table(
+    flat: np.ndarray, n_components: int, max_state: int, level: int
+) -> tuple[StateVector, ...]:
     reaches = flat >= level
     for view in _axis_views(reaches, n_components, max_state):
         for i in range(1, max_state + 1):
@@ -427,11 +513,9 @@ def enumerate_ucv(
     del reaches
     mask = flat == level
     mask &= ~covered
-    members = tuple(
+    return tuple(
         digits_of(int(i), n_components, max_state) for i in np.flatnonzero(mask)
     )
-    _assert_incomparable(members, level)
-    return UCVSet(level, members)
 
 
 def _assert_incomparable(members: tuple[StateVector, ...], level: int) -> None:

@@ -72,8 +72,14 @@ def ensure_enumerable(
         raise LevelOutOfRangeError(
             f"max_state must be in 1..{MAX_SUPPORTED_STATE}, got {max_state}"
         )
-    size = space_size(n_components, max_state)
     bound = resolve_limit(limit)
+    if n_components > bound.bit_length():
+        # 2^n alone exceeds the bound; refuse before building a huge power
+        raise ExplosionLimitError(
+            f"state space holds {max_state + 1}^{n_components} vectors, over "
+            f"the limit {bound}; raise the limit explicitly to proceed"
+        )
+    size = space_size(n_components, max_state)
     if size > bound:
         raise ExplosionLimitError(
             f"state space holds {size} vectors, over the limit {bound}; "

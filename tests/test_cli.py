@@ -541,3 +541,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["coherence"], ["ucv", "--level", "1"]],
+    ids=["coherence", "ucv"],
+)
+def test_huge_component_index_exits_2_before_allocating(command):
+    # (M+1)^n for n = 10^14 must not be built just to compare it with the
+    # limit; the child's address space is capped so that a regression fails
+    # this test rather than taking the test runner down with it
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscs", *command, "--structure",
+         "series(c1, c99999999999999)", "--max-state", "1"],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in os.environ.items() if k != "MSCS_LIMIT"},
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: state space holds 2^99999999999999 vectors, over the limit "
+        "100000000; raise the limit explicitly to proceed\n"
+    )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -435,3 +436,101 @@ def test_expression_path_matches_callable_path_on_random_trees():
                     oracle_ucv_set(fn, n, max_state, level)
                 )
     assert repeated >= 10 and wider >= 20 and checked >= 20
+
+
+def _error_of(call):
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001 - class and message compared
+        return type(err), str(err)
+    return None
+
+
+def _full_space_error(expr, n, max_state, limit=None, level=None):
+    """What the full-space route raised for a tree: the level check of
+    ``enumerate_ucv``, then the guard and arity checks of the full table."""
+    if level is not None and not 0 <= level <= max_state:
+        return _error_of(lambda: enumerate_ucv(expr, n, max_state, level))
+    return _error_of(lambda: level_table(expr, n, max_state, limit))
+
+
+def test_threshold_route_matches_enumeration_on_random_trees():
+    # trees take the binary image; a callable over the same table takes the
+    # full (M+1)^n enumeration, which is the oracle here
+    rnd = random.Random(60613)
+    repeated = wider = high = 0
+    for case in range(48):
+        max_state = 1 + case % 5
+        extra = case % 3
+        # keep (M+1)^n at or below ~50k vectors
+        cap = int(math.log(50_000) / math.log(max_state + 1) + 1e-9)
+        expr = random_expr(rnd, 4, rnd.randint(1, min(cap - extra, 6)))
+        n = arity(expr) + extra
+        leaves = _leaves(expr)
+        repeated += len(leaves) > len(set(leaves))
+        wider += extra > 0
+        high += max_state >= 4 and n >= 4
+        table = {x: oracle_eval(expr, x) for x in oracle_space(n, max_state)}
+        fn = table.__getitem__
+
+        assert coherence_report(expr, n, max_state) == coherence_report(
+            fn, n, max_state
+        )
+        assert check_monotonicity(expr, n, max_state) == check_monotonicity(
+            fn, n, max_state
+        )
+        assert check_relevance(expr, n, max_state) == check_relevance(
+            fn, n, max_state
+        )
+        for level in range(max_state + 1):
+            assert enumerate_ucv(expr, n, max_state, level) == enumerate_ucv(
+                fn, n, max_state, level
+            )
+    assert repeated >= 10 and wider >= 20 and high >= 5
+
+
+@pytest.mark.parametrize(
+    "n_delta,max_state,limit,level",
+    [
+        (-1, 2, None, 1),  # n below the arity
+        (None, 2, None, 1),  # n = 0
+        (0, 0, None, 0),  # M = 0
+        (0, 256, None, 1),  # M above the state ceiling
+        (0, 2, "over", 1),  # space over the limit
+        (0, 2, -1, 1),  # malformed limit
+        (0, 2, None, 3),  # level above M
+        (0, 2, None, -1),  # negative level
+        (-1, 2, "over", 1),  # the guard precedes the arity check
+        (None, 256, -1, 1),  # n precedes M precedes the limit
+        (0, 256, -1, 1),
+        (0, 2, -1, 7),  # the level precedes the limit (UCV only)
+        (0, 2, "over", 7),
+    ],
+)
+def test_threshold_route_raises_what_enumeration_raised(
+    n_delta, max_state, limit, level
+):
+    expr = parse_expr("parallel(series(c1, c3), koon(2; c1, c2, c3))")
+    n = 0 if n_delta is None else arity(expr) + n_delta
+    if limit == "over":
+        limit = (max_state + 1) ** n - 1
+    fn = lambda x: oracle_eval(expr, x)  # noqa: E731
+    checks = (
+        lambda s: coherence_report(s, n, max_state, limit),
+        lambda s: check_monotonicity(s, n, max_state, limit),
+        lambda s: check_relevance(s, n, max_state, limit),
+    )
+    # None where only the UCV level is bad: the three checks then succeed
+    expected = _full_space_error(expr, n, max_state, limit)
+    for call in checks:
+        assert _error_of(lambda: call(expr)) == expected
+        # a callable cannot know the tree's arity, so it only shares the
+        # errors raised before the table is built
+        if n_delta != -1 or limit == "over":
+            assert _error_of(lambda: call(fn)) == expected
+    ucv = lambda s: enumerate_ucv(s, n, max_state, level, limit)  # noqa: E731
+    expected = _full_space_error(expr, n, max_state, limit, level)
+    assert expected is not None
+    assert _error_of(lambda: ucv(expr)) == expected
+    if n_delta != -1 or limit == "over" or not 0 <= level <= max_state:
+        assert _error_of(lambda: ucv(fn)) == expected

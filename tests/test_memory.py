@@ -3,7 +3,10 @@ reports its buffers to it).
 
 Each exhaustive pass over ``{0..4}^8`` (390,625 vectors) must stay within
 8 bytes per vector; a single full-space int64 or float64 intermediate
-alone would exceed that. The state-1 sweep must stay within 48 bytes per
+alone would exceed that. Expression trees check coherence and enumerate
+upper critical vectors on their binary image of 2^8 vectors, so those two
+passes must stay within 0.25 bytes per vector of the full space; the
+full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 48 bytes per
 trial: its columns take 24, and one Python float per trial alone would
 take another 24.
 
@@ -27,6 +30,7 @@ from mscs.structure import parse_expr
 N, MAX_STATE = 8, 4
 VECTORS = (MAX_STATE + 1) ** N
 BYTES_PER_VECTOR = 8
+TREE_BYTES_PER_VECTOR = 0.25
 EXPR = parse_expr("series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8)")
 _RNG = np.random.default_rng(5)
 DISTS = [random_pmf(_RNG, MAX_STATE) for _ in range(N)]
@@ -37,6 +41,7 @@ PASSES = {
     "exact_system_distribution": lambda: exact_system_distribution(EXPR, DISTS),
 }
 
+TREE_PASSES = ("coherence_report", "enumerate_ucv")
 
 SWEEP_TRIALS = 10**5
 SWEEP_BYTES_PER_TRIAL = 48
@@ -58,6 +63,13 @@ def peak_bytes(call):
 def test_exhaustive_pass_peak_bytes_per_vector(name):
     peak = peak_bytes(PASSES[name])
     assert peak / VECTORS <= BYTES_PER_VECTOR, f"{peak / VECTORS:.2f} B/vector"
+
+
+@pytest.mark.parametrize("name", TREE_PASSES)
+def test_tree_coherence_peak_bytes_per_vector(name):
+    peak = peak_bytes(PASSES[name])
+    per_vector = peak / VECTORS
+    assert per_vector <= TREE_BYTES_PER_VECTOR, f"{per_vector:.3f} B/vector"
 
 
 def test_sweep_peak_bytes_per_trial():
