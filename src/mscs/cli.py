@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from . import __version__
 from .coherence import coherence_report, enumerate_ucv
 from .core import as_vector
-from .enumeration import LIMIT_ENV_VAR, resolve_limit
+from .enumeration import LIMIT_ENV_VAR, ensure_enumerable, resolve_limit
 from .errors import MscsError, PropertyFailureError
 from .pipeline import (
     _write_sweep_csv,
@@ -68,6 +68,9 @@ def _resolve_dists(
     n_components: int | None,
     flag: str = "--pmf",
     spec_flag: str = "--spec",
+    *,
+    enumerated: bool = False,
+    limit: int | None = None,
 ) -> list[ComponentDistribution]:
     if pmfs and spec_path:
         raise UsageError(f"give either {flag} or {spec_flag}, not both")
@@ -79,6 +82,9 @@ def _resolve_dists(
         raise UsageError(f"provide component pmfs via {flag} or {spec_flag}")
     if n_components is not None and len(dists) != n_components:
         if len(dists) == 1:
+            if enumerated:
+                # refuse a space over the limit before the list is n long
+                ensure_enumerable(n_components, dists[0].max_state, limit)
             # one pmf broadcasts to identical components
             dists = dists * n_components
         else:
@@ -145,7 +151,13 @@ def _cmd_ucv(args) -> int:
 
 def _cmd_dist(args) -> int:
     expr = parse_expr(args.structure)
-    dists = _resolve_dists(args.pmf, args.spec, arity(expr))
+    dists = _resolve_dists(
+        args.pmf,
+        args.spec,
+        arity(expr),
+        enumerated=args.method == "exact",
+        limit=args.limit,
+    )
 
     if args.method == "mc":
         if args.level is None:
@@ -219,9 +231,17 @@ def _cmd_bounds(args) -> int:
 def _cmd_dominance(args) -> int:
     expr = parse_expr(args.structure)
     n = arity(expr)
-    dists = _resolve_dists(args.pmf, args.spec, n)
+    dists = _resolve_dists(
+        args.pmf, args.spec, n, enumerated=True, limit=args.limit
+    )
     primed = _resolve_dists(
-        args.pmf_prime, args.spec_prime, n, "--pmf-prime", "--spec-prime"
+        args.pmf_prime,
+        args.spec_prime,
+        n,
+        "--pmf-prime",
+        "--spec-prime",
+        enumerated=True,
+        limit=args.limit,
     )
     holds, system, system_primed = _dominance(expr, primed, dists, args.limit)
     if args.json:

@@ -6,8 +6,11 @@ it cannot be checked from the marginals and is simply trusted. The exact
 enumerator sums the product weights of every state vector; the closed
 forms and bounds are one bottom-up recursion on the component distribution
 functions; the Monte-Carlo estimator is a seeded, bit-reproducible
-cross-check (PCG64 stream, inverse-CDF sampling, draws consumed in
-trial-major order).
+cross-check (PCG64 stream, draws consumed in trial-major order). It never
+builds a state vector: since series, parallel and k-out-of-n commute with
+thresholding, a system exceeds level j exactly when its binary image is 1
+on the events "component i exceeds j", and each such event is one draw
+compared with one CDF value.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .structure import (
     Parallel,
     Series,
     StructureExpr,
+    _eval_grid,
     arity,
-    eval_expr_batch,
     kind_evaluator,
 )
 
@@ -390,8 +393,13 @@ def monte_carlo_cdf(
 
     Fixed (seed, samples, expr, dists) reproduce the estimate bitwise:
     the PCG64 stream is consumed one uniform per component in trial-major
-    order and each state is read off the component CDF by inverse
-    transform.
+    order, in chunks of ``2**16`` trials. Component i is above ``level``
+    exactly when its draw ``u`` satisfies ``u >= F_i(level)``, which is the
+    event on which the inverse transform ``F_i^-1(u)`` exceeds ``level``;
+    so every sample's verdict, and the estimate, equal those of
+    inverse-transform sampling bit for bit. The tree is evaluated on these
+    0/1 events (its binary image), one byte per draw instead of a state
+    vector.
     """
     if samples < 1:
         raise PreconditionViolatedError("samples must be at least 1")
@@ -401,18 +409,20 @@ def monte_carlo_cdf(
     max_state = family[0].max_state
     _check_level(level, max_state)
     cums = np.asarray([list(accumulate(d.pmf)) for d in family])
+    # X_i > level exactly when u >= cums_i[level]; nothing exceeds the top
+    # level, however far below 1 rounding left cums_i[max_state]
+    above = cums[:, level] if level < max_state else np.full(n, np.inf)
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     chunk = 1 << 16
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
         uniforms = rng.random((count, n))
-        states = np.empty((count, n), dtype=np.int64)
-        for i in range(n):
-            states[:, i] = np.searchsorted(cums[i], uniforms[:, i], side="right")
-        np.minimum(states, max_state, out=states)
-        levels = eval_expr_batch(expr, states)
-        hits += int(np.count_nonzero(levels <= level))
+        # one contiguous 0/1 row per component: the tree on them is its
+        # binary image, 1 where the system is above the level
+        events = np.ascontiguousarray((uniforms >= above).T).view(np.uint8)
+        exceeds = _eval_grid(expr, list(events))
+        hits += count - int(np.count_nonzero(exceeds))
     estimate = hits / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return MonteCarloEstimate(estimate, samples, seed, std_error)

@@ -551,16 +551,22 @@ def _cap_address_space():
 
 @pytest.mark.parametrize(
     "command",
-    [["coherence"], ["ucv", "--level", "1"]],
-    ids=["coherence", "ucv"],
+    [
+        ["coherence", "--max-state", "1"],
+        ["ucv", "--level", "1", "--max-state", "1"],
+        ["dist", "--pmf", "0.5,0.5"],
+        ["dominance", "--pmf", "0.5,0.5", "--pmf-prime", "0.5,0.5"],
+    ],
+    ids=["coherence", "ucv", "dist", "dominance"],
 )
 def test_huge_component_index_exits_2_before_allocating(command):
     # (M+1)^n for n = 10^14 must not be built just to compare it with the
-    # limit; the child's address space is capped so that a regression fails
-    # this test rather than taking the test runner down with it
+    # limit, nor a single --pmf broadcast to 10^14 components; the child's
+    # address space is capped so that a regression fails this test rather
+    # than taking the test runner down with it
     proc = subprocess.run(
         [sys.executable, "-m", "mscs", *command, "--structure",
-         "series(c1, c99999999999999)", "--max-state", "1"],
+         "series(c1, c99999999999999)"],
         capture_output=True,
         text=True,
         env={k: v for k, v in os.environ.items() if k != "MSCS_LIMIT"},

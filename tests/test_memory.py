@@ -10,6 +10,12 @@ full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 48 bytes
 trial: its columns take 24, and one Python float per trial alone would
 take another 24.
 
+Monte-Carlo must stay within 20 bytes per draw (one uniform per component
+per trial) over one 65,536-trial chunk of the benchmark's 10-component
+read-once tree: the draws take 8, and the tree is evaluated on one byte
+per draw, which peaks at 10.0. Building int64 state vectors and
+evaluating the multistate tree on them peaked at 21.6.
+
 The CSV export of a 1e5-trial sweep must peak at no more than 12 MB. It
 renders a fixed block of rows at a time, so its peak does not grow with
 the trial count: 2.6 MB with 4,096-row blocks. Formatting 65,536-row
@@ -24,7 +30,7 @@ import pytest
 from conftest import random_pmf
 from mscs.coherence import coherence_report, enumerate_ucv
 from mscs.pipeline import export_results, load_case_study, sweep_state1
-from mscs.probability import exact_system_distribution
+from mscs.probability import exact_system_distribution, monte_carlo_cdf
 from mscs.structure import parse_expr
 
 N, MAX_STATE = 8, 4
@@ -42,6 +48,12 @@ PASSES = {
 }
 
 TREE_PASSES = ("coherence_report", "enumerate_ucv")
+
+MC_TREE = parse_expr(
+    "series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8, c9, c10)"
+)
+MC_SAMPLES = 1 << 16
+MC_BYTES_PER_DRAW = 20
 
 SWEEP_TRIALS = 10**5
 SWEEP_BYTES_PER_TRIAL = 48
@@ -70,6 +82,13 @@ def test_tree_coherence_peak_bytes_per_vector(name):
     peak = peak_bytes(PASSES[name])
     per_vector = peak / VECTORS
     assert per_vector <= TREE_BYTES_PER_VECTOR, f"{per_vector:.3f} B/vector"
+
+
+def test_monte_carlo_peak_bytes_per_draw():
+    dists = load_case_study("default").distributions
+    peak = peak_bytes(lambda: monte_carlo_cdf(MC_TREE, dists, 2, MC_SAMPLES, 7))
+    per_draw = peak / (MC_SAMPLES * len(dists))
+    assert per_draw <= MC_BYTES_PER_DRAW, f"{per_draw:.1f} B/draw"
 
 
 def test_sweep_peak_bytes_per_trial():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -37,6 +38,8 @@ from mscs.structure import (
     Component,
     KOutOfN,
     arity,
+    eval_expr_batch,
+    format_expr,
     parallel,
     parse_expr,
     series,
@@ -335,6 +338,89 @@ def test_monte_carlo_coverage_over_100_seeded_runs():
         if abs(est.estimate - exact.cdf[level]) <= 6 * est.std_error:
             inside += 1
     assert inside >= 99
+
+
+def inverse_transform_cdf(expr, dists, level, samples, seed):
+    """The inverse-transform estimator ``monte_carlo_cdf`` replaced: every
+    state is ``searchsorted`` off its component CDF and clamped to the top
+    level, and the multistate tree is evaluated on the state vectors."""
+    cums = np.asarray([list(itertools.accumulate(d)) for d in dists])
+    max_state = cums.shape[1] - 1
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(
+        (samples, len(dists))
+    )
+    states = np.empty(uniforms.shape, dtype=np.int64)
+    for i, row in enumerate(cums):
+        states[:, i] = np.searchsorted(row, uniforms[:, i], side="right")
+    np.minimum(states, max_state, out=states)
+    hits = int(np.count_nonzero(eval_expr_batch(expr, states) <= level))
+    return hits / samples
+
+
+READ_ONCE = "series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8, c9, c10)"
+SHARED = (
+    "parallel(series(c1, c2, koon(2; c3, c4, c5)), series(c1, c6, c7), "
+    "series(c2, c8, c9, c10))"
+)
+ZERO_MASS = (0.25, 0.0, 0.375, 0.0, 0.375)
+
+# Monte-Carlo estimates recorded from the inverse-transform estimator, to be
+# reproduced with ==: the benchmark's read-once and shared trees, a nested
+# koon with a shared component, more PMFs than the tree references, PMFs
+# with zero-mass levels, the top level (several of those CDFs end an ulp
+# below 1), and sample counts on both sides of the 2**16-trial chunk.
+MC_PINS = [
+    (READ_ONCE, 10, 4, False, 0, 65_537, 101, 0.7750888810900712),
+    (READ_ONCE, 10, 4, False, 2, 65_535, 102, 0.9996337834744793),
+    (READ_ONCE, 10, 4, False, 0, 1, 100, 0.0),
+    (READ_ONCE, 10, 4, False, 0, 1, 102, 1.0),
+    (READ_ONCE, 10, 4, False, 4, 65_537, 103, 1.0),
+    (SHARED, 10, 3, False, 1, 65_535, 104, 0.6235141527428092),
+    (SHARED, 10, 3, False, 0, 65_537, 105, 0.24299250804888842),
+    ("koon(2; series(c1, koon(2; c2, c3, c4)), parallel(c5, koon(1; c6, c7)), c1)",
+     7, 3, False, 1, 65_537, 106, 0.5477974274074187),
+    ("parallel(c1, c3)", 5, 2, False, 0, 65_535, 107, 0.2204470893415732),
+    ("series(c1, koon(2; c2, c3, c4))", 4, 4, True, 1, 65_537, 108, 0.43312937729832),
+    ("series(c1, koon(2; c2, c3, c4))", 4, 4, True, 3, 65_535, 109, 0.9548943312733654),
+]
+
+
+@pytest.mark.parametrize(
+    "text,n,max_state,zero_mass,level,samples,seed,estimate", MC_PINS
+)
+def test_monte_carlo_estimate_bit_identical(
+    text, n, max_state, zero_mass, level, samples, seed, estimate
+):
+    rng = np.random.default_rng(n * 10 + max_state)
+    dists = [random_pmf(rng, max_state) for _ in range(n)]
+    if zero_mass:  # every other component takes ZERO_MASS
+        dists[::2] = [ZERO_MASS] * len(dists[::2])
+    got = monte_carlo_cdf(parse_expr(text), dists, level, samples, seed)
+    assert got.estimate == estimate
+
+
+def test_monte_carlo_matches_inverse_transform_on_random_trees():
+    # shared components, spare PMFs, zero-mass levels and every level, the
+    # top one included; samples straddle the 2**16-trial chunk
+    rnd = random.Random(7)
+    rng = np.random.default_rng(7)
+    for case in range(200):
+        expr = random_expr(rnd, max_depth=3, max_index=5)
+        n = arity(expr) + rnd.randint(0, 2)
+        max_state = 1 + case % 5
+        dists = []
+        for _ in range(n):
+            pmf = np.asarray(random_pmf(rng, max_state))
+            if rnd.random() < 0.3:
+                pmf[rnd.randint(0, max_state)] = 0.0
+                pmf /= pmf.sum()
+            dists.append(tuple(pmf.tolist()))
+        samples = rnd.choice((1, 17, 4_099, 65_537))
+        seed = rnd.randrange(2**32)
+        for level in range(max_state + 1):
+            want = inverse_transform_cdf(expr, dists, level, samples, seed)
+            got = monte_carlo_cdf(expr, dists, level, samples, seed).estimate
+            assert got == want, (format_expr(expr), max_state, level, seed)
 
 
 # Exact PMF/CDF floats pinned bit for bit: every vector weight is a
