@@ -11,6 +11,7 @@ documents described by the schemas under ``docs/schemas``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -21,6 +22,7 @@ from .core import as_vector
 from .enumeration import LIMIT_ENV_VAR, ensure_enumerable, resolve_limit
 from .errors import MscsError, PropertyFailureError
 from .pipeline import (
+    SweepResult,
     _write_sweep_csv,
     export_results,
     load_pipeline_spec,
@@ -268,30 +270,43 @@ def _cmd_pipeline_analyze(args) -> int:
     return 0
 
 
+# one row of the sweep document, keys in sorted order; %r is the repr that
+# json.dumps gives a finite float, and every sweep value is finite (draws
+# are clamped to [tiny, 1), the held pmfs are validated)
+_SWEEP_ROW = '{"P_pipeline_1": %r, "p_1_1": %r, "p_2_1": %r, "trial": %d}'
+
+
+def _sweep_json(result: SweepResult) -> str:
+    """The sweep document, byte for byte ``json.dumps(doc, sort_keys=True)``
+    of its dict form, built without a dict per row."""
+    trials, p_1_1, p_2_1, performance = result.columns()
+    best = result.argmax_row()
+    argmax = json.dumps(
+        {
+            "trial": best.trial,
+            "p_1_1": best.p_1_1,
+            "p_2_1": best.p_2_1,
+            "P_pipeline_1": best.performance,
+        },
+        sort_keys=True,
+    )
+    rows = ", ".join(
+        map(_SWEEP_ROW.__mod__, zip(performance, p_1_1, p_2_1, trials))
+    )
+    return (
+        f'{{"argmax": {argmax}, '
+        f'"corner_supremum": {result.corner_supremum!r}, "rows": [{rows}], '
+        f'"seed": {result.seed:d}, "trials": {result.trials:d}}}'
+    )
+
+
 def _cmd_pipeline_sweep(args) -> int:
     spec = load_pipeline_spec(args.spec)
     result = sweep_state1(spec, args.trials, args.seed)
     if args.out:
         export_results(result, args.out)
     if args.json:
-        best = result.argmax_row()
-        _emit_json(
-            {
-                "seed": result.seed,
-                "trials": result.trials,
-                "corner_supremum": result.corner_supremum,
-                "argmax": {
-                    "trial": best.trial,
-                    "p_1_1": best.p_1_1,
-                    "p_2_1": best.p_2_1,
-                    "P_pipeline_1": best.performance,
-                },
-                "rows": [
-                    {"trial": t, "p_1_1": a, "p_2_1": b, "P_pipeline_1": p}
-                    for t, a, b, p in zip(*result.columns())
-                ],
-            }
-        )
+        print(_sweep_json(result))
     elif args.out:
         best = result.argmax_row()
         print(f"rows {result.trials}")
@@ -337,7 +352,11 @@ def _add_dists(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="pipeline spec file supplying the pmfs")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    on it (each ``parse_args`` starts from a fresh namespace and copies
+    appended lists), and handlers look their analyses up at call time."""
     parser = argparse.ArgumentParser(
         prog="mscs",
         description="Analyze multistate coherent systems.",
@@ -435,9 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2

@@ -32,6 +32,10 @@ LIMIT_ENV_VAR = "MSCS_LIMIT"
 
 _CHUNK = 1 << 16
 
+# largest radix whose weight blocks grow one digit column at a time; above
+# it one np.multiply.outer is faster (measured break-even near radix 8)
+_COLUMNWISE_MAX_RADIX = 7
+
 
 def resolve_limit(limit: int | None = None) -> int:
     """Effective enumeration limit: explicit value, else environment
@@ -128,8 +132,11 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
 
     Each chunk is cut from a block of whole trailing axes: the
     left-to-right products of the leading entries, extended one trailing
-    axis at a time by ``np.multiply.outer``. Memory stays a small multiple
-    of the chunk whatever the space size.
+    axis at a time. For small radices the extension fills one digit column
+    per pass (``weights * pmf[d]``, so the inner loop runs over the long
+    axis); otherwise it is ``np.multiply.outer``. Both form the same single
+    products, so the weights are bit-identical. Memory stays a small
+    multiple of the chunk whatever the space size.
     """
     n_components, radix = pmf_matrix.shape
     total = radix**n_components
@@ -148,9 +155,15 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
         for col in range(leading):
             weights *= pmf_matrix[col, digits[:, col]]
         for pmf in pmf_matrix[leading:]:
-            weights = np.multiply.outer(weights, pmf)
+            if radix <= _COLUMNWISE_MAX_RADIX:
+                grown = np.empty((weights.size, radix))
+                for digit, mass in enumerate(pmf):
+                    np.multiply(weights, mass, out=grown[:, digit])
+                weights = grown.reshape(-1)
+            else:
+                weights = np.multiply.outer(weights, pmf).reshape(-1)
         offset = first * block
-        yield lo, weights.reshape(-1)[lo - offset : hi - offset]
+        yield lo, weights[lo - offset : hi - offset]
 
 
 def level_table(

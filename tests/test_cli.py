@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from mscs.cli import run_cli
-from mscs.pipeline import case_study_path
+from mscs.pipeline import case_study_path, load_pipeline_spec, sweep_state1
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CASE_STUDY = str(case_study_path())
@@ -426,6 +426,43 @@ def test_pipeline_sweep_json(capsys):
     assert doc["corner_supremum"] == 1.0
 
 
+def sweep_doc(result):
+    """The sweep document as a dict, the form ``--json`` must serialize."""
+    best = result.argmax_row()
+    return {
+        "seed": result.seed,
+        "trials": result.trials,
+        "corner_supremum": result.corner_supremum,
+        "argmax": {
+            "trial": best.trial,
+            "p_1_1": best.p_1_1,
+            "p_2_1": best.p_2_1,
+            "P_pipeline_1": best.performance,
+        },
+        "rows": [
+            {"trial": t, "p_1_1": a, "p_2_1": b, "P_pipeline_1": p}
+            for t, a, b, p in zip(*result.columns())
+        ],
+    }
+
+
+@pytest.mark.parametrize("scenario", ["default", "above_average", "below_average"])
+def test_pipeline_sweep_json_bytes_match_json_dumps(capsys, scenario):
+    path = str(case_study_path(scenario))
+    spec = load_pipeline_spec(path)
+    for trials in (1, 2, 10_000):
+        for seed in (0, 7, 2**32 + 5):
+            code, out, err = invoke(
+                capsys, "pipeline", "sweep", "--spec", path,
+                "--trials", str(trials), "--seed", str(seed), "--json",
+            )
+            assert code == 0 and err == ""
+            doc = sweep_doc(sweep_state1(spec, trials, seed))
+            assert out == json.dumps(doc, sort_keys=True) + "\n"
+            if seed == 7:
+                check_schema("pipeline_sweep.schema.json", json.loads(out))
+
+
 def test_shipped_specs_match_published_schema():
     schema = json.loads((SCHEMAS / "pipeline_spec.schema.json").read_text())
     for scenario in ("default", "above_average", "below_average"):
@@ -525,6 +562,45 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "coherence")[0] == 2  # missing required flags
     assert invoke(capsys, "pipeline")[0] == 2  # missing subcommand
     assert invoke(capsys)[0] == 2  # no subcommand at all
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
+    import mscs.cli
+
+    coherence = ["coherence", "--structure", "series(c1, c2, c3)",
+                 "--max-state", "4"]
+    dominance = ["dominance", "--structure", "series(c1, c2)", "--json"]
+    steps = [  # (MSCS_LIMIT, argv), run in this order in one process
+        (None, ["coherence", "--max-state", "4"]),  # usage error
+        (None, ["eval", "--structure", "series(c1, c2)", "--state", "1,2"]),
+        (None, [*coherence, "--limit", "10"]),
+        (None, coherence),
+        ("10", coherence),
+        (None, [*dominance, "--pmf", "0.5,0.5", "--pmf", "0.2,0.8",
+                "--pmf-prime", "0.1,0.9", "--pmf-prime", "0.1,0.9"]),
+        # a leaked --pmf list would hold three pmfs for two components
+        (None, [*dominance, "--pmf", "0.6,0.4", "--pmf-prime", "0.3,0.7"]),
+        (None, ["--version"]),
+    ]
+
+    def run_steps():
+        results = []
+        for limit, argv in steps:
+            if limit is None:
+                monkeypatch.delenv("MSCS_LIMIT", raising=False)
+            else:
+                monkeypatch.setenv("MSCS_LIMIT", limit)
+            results.append(invoke(capsys, *argv))
+        return results
+
+    assert mscs.cli._build_parser() is mscs.cli._build_parser()
+    reused = run_steps()
+    monkeypatch.setattr(
+        mscs.cli, "_build_parser", mscs.cli._build_parser.__wrapped__
+    )
+    fresh = run_steps()
+    assert [code for code, _, _ in reused] == [2, 0, 2, 0, 2, 0, 0, 0]
+    assert reused == fresh
 
 
 def test_help_exits_0(capsys):
