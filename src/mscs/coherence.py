@@ -286,8 +286,10 @@ def _relevance_from_table(
                 if sub != level:
                     ok &= view[:, sub] != level
             if ok.any():
-                witness = _context_vector(
-                    int(np.argmax(ok)), axis, n_components, max_state
+                # the least context, with this component's digit at 0
+                before, after = divmod(int(np.argmax(ok)), ok.shape[1])
+                witness = digits_of(
+                    before * view[0].size + after, n_components, max_state
                 )
                 entries.append(
                     RelevanceEntry(axis + 1, level, True, witness, None)
@@ -332,16 +334,6 @@ def _irrelevant(component: int, level: int) -> RelevanceEntry:
         f"no context makes the system level {level} depend "
         f"on component {component} alone",
     )
-
-
-def _context_vector(
-    row: int, axis: int, n_components: int, max_state: int
-) -> StateVector:
-    if n_components == 1:
-        return (0,)
-    rest = digits_of(row, n_components - 1, max_state)
-    it = iter(rest)
-    return tuple(0 if a == axis else next(it) for a in range(n_components))
 
 
 def check_boundary(

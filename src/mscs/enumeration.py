@@ -102,16 +102,14 @@ def digits_of(index: int, n_components: int, max_state: int) -> StateVector:
 
 
 def iter_vector_chunks(
-    n_components: int,
-    max_state: int,
-    chunk: int = _CHUNK,
-    start: int = 0,
+    n_components: int, max_state: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(first_flat_index, digits_matrix)`` blocks in lexicographic
-    order. Each matrix row holds one state vector."""
+    """Yield ``(first_flat_index, digits_matrix)`` blocks of ``2**16``
+    vectors in lexicographic order. Each matrix row holds one state
+    vector."""
     total = space_size(n_components, max_state)
-    for lo in range(start, total, chunk):
-        hi = min(lo + chunk, total)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
         yield lo, _digit_matrix(lo, hi, n_components, max_state + 1)
 
 

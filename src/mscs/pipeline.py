@@ -27,6 +27,7 @@ from .errors import (
     SpecFormatError,
 )
 from .probability import (
+    PMF_TOLERANCE,
     ComponentDistribution,
     SystemDistribution,
     _check_seed,
@@ -39,8 +40,6 @@ _SCENARIO_FILES = {
     "above_average": "case_study_above_average.json",
     "below_average": "case_study_below_average.json",
 }
-
-_RESIDUAL_TOLERANCE = 1e-9
 
 _SWEEP_HEADER = "trial,p_1_1,p_2_1,P_pipeline_1\n"
 _SWEEP_ROW = "%d,%.17g,%.17g,%.17g\n"
@@ -173,15 +172,19 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
 
     The format is JSON with an integer ``max_state`` and a nonempty
     ``segments`` array of ``{"name": str, "pmf": [max_state+1 numbers]}``.
+    Text that does not decode (not UTF-8 or JSON, too deep, a number no
+    float carries) raises :class:`SpecFormatError`, as does a bad field.
     """
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as handle:
+            doc = json.loads(handle.read())
     except json.JSONDecodeError as err:
         raise SpecFormatError(
             f"line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except (ValueError, RecursionError) as err:
+        # not UTF-8, an integer past the digit limit, or nested too deeply
+        raise SpecFormatError(str(err)) from None
     if not isinstance(doc, dict):
         raise SpecFormatError("top level must be an object")
     if not isinstance(doc.get("max_state"), int) or isinstance(
@@ -207,12 +210,10 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
             raise SpecFormatError(
                 f"segment {name!r}: field 'pmf' must be an array of numbers"
             )
-        if len(pmf) != doc["max_state"] + 1:
-            raise SpecFormatError(
-                f"segment {name!r}: pmf has {len(pmf)} entries, expected "
-                f"{doc['max_state'] + 1}"
-            )
-        segments.append(Segment(name, ComponentDistribution(tuple(pmf))))
+        try:
+            segments.append(Segment(name, ComponentDistribution(tuple(pmf))))
+        except (OverflowError, InvalidPMFError) as err:
+            raise SpecFormatError(f"segment {name!r}: {err}") from None
     return PipelineSpec(doc["max_state"], tuple(segments))
 
 
@@ -256,7 +257,7 @@ def set_state1(
     pmf = list(seg.distribution.pmf)
     pmf[1] = float(probability)
     residual = 1.0 - math.fsum(pmf[:-1])
-    if residual < -_RESIDUAL_TOLERANCE:
+    if residual < -PMF_TOLERANCE:
         raise InvalidPMFError(
             f"segment {seg.name!r}: overriding state 1 to {probability!r} "
             f"leaves residual mass {residual!r}"
@@ -443,14 +444,11 @@ def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
 def export_results(
     result: Union[SweepResult, SystemDistribution],
     path: Union[str, Path],
-    format: str = "csv",
 ) -> None:
     """Write a sweep or a system distribution as CSV, rows in order.
 
     Numbers carry 17 significant digits so a reload is bit-faithful.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     if not isinstance(result, (SweepResult, SystemDistribution)):
         raise TypeError(f"cannot export {type(result).__name__}")
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -333,7 +333,6 @@ def _dominance(
     dists_primed: Sequence[DistributionLike],
     dists: Sequence[DistributionLike],
     limit: int | None = None,
-    tolerance: float = ORACLE_TOLERANCE,
 ) -> tuple[bool, SystemDistribution, SystemDistribution]:
     """:func:`dominance_check` verdict with the two exact system
     distributions it compared (unprimed first)."""
@@ -349,7 +348,7 @@ def _dominance(
     max_state = family[0].max_state
     for i, (d, dp) in enumerate(zip(family, primed)):
         for level in range(max_state + 1):
-            if component_cdf(d, level) < component_cdf(dp, level) - tolerance:
+            if component_cdf(d, level) < component_cdf(dp, level) - ORACLE_TOLERANCE:
                 raise HypothesisViolatedError(
                     f"component {i + 1} violates CDF dominance at level "
                     f"{level}"
@@ -357,7 +356,7 @@ def _dominance(
     system = exact_system_distribution(expr, family, limit)
     system_primed = exact_system_distribution(expr, primed, limit)
     holds = all(
-        pj >= ppj - tolerance
+        pj >= ppj - ORACLE_TOLERANCE
         for pj, ppj in zip(system.cdf, system_primed.cdf)
     )
     return holds, system, system_primed
@@ -368,18 +367,17 @@ def dominance_check(
     dists_primed: Sequence[DistributionLike],
     dists: Sequence[DistributionLike],
     limit: int | None = None,
-    tolerance: float = ORACLE_TOLERANCE,
 ) -> bool:
     """Theorem check: componentwise CDF dominance carries to the system.
 
     Requires component_cdf(dists[i], j) >= component_cdf(primed[i], j) at
     every i, j (raises :class:`HypothesisViolatedError` otherwise), then
-    compares the two exact system CDFs at every level. The comparison
-    allows ``tolerance`` of slack because at the top level both sides equal
-    one exactly in real arithmetic and float summation may order them
-    either way.
+    compares the two exact system CDFs at every level. Both comparisons
+    allow ``ORACLE_TOLERANCE`` of slack because at the top level both
+    sides equal one exactly in real arithmetic and float summation may
+    order them either way.
     """
-    return _dominance(expr, dists_primed, dists, limit, tolerance)[0]
+    return _dominance(expr, dists_primed, dists, limit)[0]
 
 
 def monte_carlo_cdf(

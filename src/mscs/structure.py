@@ -13,7 +13,8 @@ DSL grammar::
 
 Whitespace is insignificant; INT is a decimal integer >= 1. Series and
 parallel take at least two children (a singleton is just the bare
-component); koon takes at least one.
+component); koon takes at least one. Operators nest at most
+``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -281,6 +282,10 @@ def format_expr(expr: StructureExpr) -> str:
 
 # --- DSL parser (recursive descent over a token list) ---
 
+#: Most operators a parsed tree nests. Tree walks take up to three frames
+#: per level, so every command runs at this depth under the default limit.
+MAX_NESTING = 200
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -345,13 +350,13 @@ class _Parser:
         return self._advance()
 
     def parse(self) -> StructureExpr:
-        expr = self._expr()
+        expr = self._expr(0)
         tail = self._peek()
         if tail.kind != "eof":
             raise self._fail("expected end of input", tail.offset)
         return expr
 
-    def _expr(self) -> StructureExpr:
+    def _expr(self, depth: int) -> StructureExpr:  # inside depth operators
         tok = self._peek()
         if tok.kind != "name":
             raise self._fail(
@@ -360,9 +365,13 @@ class _Parser:
                 tok.offset,
             )
         self._advance()
+        if tok.text in ("series", "parallel", "koon") and depth == MAX_NESTING:
+            raise self._fail(
+                f"operators nest deeper than {MAX_NESTING} levels", tok.offset
+            )
         if tok.text in ("series", "parallel"):
             self._expect("lparen", "'('")
-            children = [self._expr()]
+            children = [self._expr(depth + 1)]
             comma = self._peek()
             if comma.kind != "comma":
                 raise self._fail(
@@ -371,7 +380,7 @@ class _Parser:
                 )
             while self._peek().kind == "comma":
                 self._advance()
-                children.append(self._expr())
+                children.append(self._expr(depth + 1))
             self._expect("rparen", "')' or ','")
             node = Series if tok.text == "series" else Parallel
             return node(tuple(children))
@@ -379,10 +388,10 @@ class _Parser:
             self._expect("lparen", "'('")
             k = self._positive_int()
             self._expect("semi", "';'")
-            children = [self._expr()]
+            children = [self._expr(depth + 1)]
             while self._peek().kind == "comma":
                 self._advance()
-                children.append(self._expr())
+                children.append(self._expr(depth + 1))
             self._expect("rparen", "')' or ','")
             if k > len(children):
                 raise InvalidKError(
@@ -413,7 +422,7 @@ def parse_expr(text: str) -> StructureExpr:
     """Parse DSL text into an expression tree.
 
     Raises :class:`ParseError` with a 1-based byte offset on malformed
-    input, and :class:`InvalidKError` when a koon's k exceeds its child
-    count.
+    input or on an operator nested deeper than ``MAX_NESTING``, and
+    :class:`InvalidKError` when a koon's k exceeds its child count.
     """
     return _Parser(text).parse()

@@ -65,9 +65,10 @@ def oracle_first_monotone_violation(fn, n, max_state):
     return None
 
 
-def oracle_relevant(fn, n, max_state, comp, level):
-    """Definitional relevance of one (component, level): does some context
-    make that level appear at that substitution only?"""
+def oracle_least_context(fn, n, max_state, comp, level):
+    """Definitional relevance of one (component, level): the least context
+    that makes that level appear at that substitution only (with the
+    component's own entry 0), or None when no context does."""
     i = comp - 1
     for ctx in oracle_space(n, max_state):
         values = [
@@ -76,8 +77,8 @@ def oracle_relevant(fn, n, max_state, comp, level):
         if values[level] == level and all(
             v != level for s, v in enumerate(values) if s != level
         ):
-            return True
-    return False
+            return ctx
+    return None
 
 
 def oracle_is_ucv(fn, x, level):
@@ -137,3 +138,26 @@ def random_pmf(rng, max_state):
     """Uniformly random PMF over 0..max_state (numpy Generator)."""
     raw = rng.random(max_state + 1)
     return tuple(float(p) for p in raw / raw.sum())
+
+
+def nested_chain(depth, op="series", read_once=False):
+    """``depth`` operators nested down one spine: ``series(c1, series(c1,
+    ... c2))``, or with components 1..depth+1 when ``read_once``."""
+    heads = (
+        f"{'koon(1; ' if op == 'koon' else op + '('}c{i if read_once else 1}, "
+        for i in range(1, depth + 1)
+    )
+    return "".join(heads) + f"c{depth + 1 if read_once else 2}" + ")" * depth
+
+
+#: Spec files that the JSON layer cannot turn into numbers.
+UNDECODABLE_SPECS = {
+    "not_utf8": b'\xff\xfe{"max_state": 1}',
+    "float_overflow": b'{"max_state": 1, "segments": [{"name": "s1", "pmf": [1'
+    + b"0" * 400
+    + b", 0]}]}",
+    "digit_limit": b'{"max_state": 1, "segments": [{"name": "s1", "pmf": [1'
+    + b"0" * 5000
+    + b", 0]}]}",
+    "too_deep": b"[" * 100_000,
+}

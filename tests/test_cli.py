@@ -7,8 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import UNDECODABLE_SPECS, nested_chain
 from mscs.cli import run_cli
 from mscs.pipeline import case_study_path, load_pipeline_spec, sweep_state1
+from mscs.structure import MAX_NESTING
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CASE_STUDY = str(case_study_path())
@@ -655,3 +657,75 @@ def test_huge_component_index_exits_2_before_allocating(command):
         "error: state space holds 2^99999999999999 vectors, over the limit "
         "100000000; raise the limit explicitly to proceed\n"
     )
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err[-500:]
+
+
+SPEC_COMMANDS = {
+    "pipeline_analyze": ["pipeline", "analyze", "--level", "1", "--spec"],
+    "pipeline_sweep": ["pipeline", "sweep", "--trials", "2", "--seed", "1", "--spec"],
+    "dist": ["dist", "--structure", "series(c1, c2)", "--spec"],
+    "bounds": ["bounds", "--kind", "series", "--level", "1", "--spec"],
+    "dominance": [
+        "dominance", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",
+        "--spec-prime",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS.values(), ids=list(SPEC_COMMANDS))
+@pytest.mark.parametrize(
+    "content", UNDECODABLE_SPECS.values(), ids=list(UNDECODABLE_SPECS)
+)
+def test_undecodable_spec_exits_2_with_one_line(capsys, tmp_path, command, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert_one_line_error(*invoke(capsys, *command, str(path)))
+
+
+PMF = ["--pmf", "0.2,0.3,0.5"]
+NESTING_COMMANDS = {
+    "eval": ["eval", "--state", "1,2"],
+    "coherence": ["coherence", "--max-state", "2"],
+    "ucv": ["ucv", "--max-state", "2", "--level", "1"],
+    "dist_exact": ["dist", *PMF],
+    "dist_closed": ["dist", "--method", "closed", *PMF],
+    "dist_mc": ["dist", "--method", "mc", "--level", "1", "--samples", "100", *PMF],
+    "dominance": ["dominance", "--pmf", "0.3,0.3,0.4", "--pmf-prime", "0.2,0.3,0.5"],
+}
+
+
+@pytest.mark.parametrize(
+    "command", NESTING_COMMANDS.values(), ids=list(NESTING_COMMANDS)
+)
+def test_dsl_nesting_bound(capsys, command):
+    # shared components keep the space at 3^2 vectors; the closed form
+    # needs a read-once tree and never enumerates
+    read_once = "closed" in command
+    at_bound = nested_chain(MAX_NESTING, read_once=read_once)
+    code, out, err = invoke(capsys, *command, "--structure", at_bound)
+    assert code == 0 and out and err == ""
+    past = nested_chain(MAX_NESTING + 1, read_once=read_once)
+    code, out, err = invoke(capsys, *command, "--structure", past)
+    assert_one_line_error(code, out, err)
+    # the offset of the innermost operator, the one past the bound
+    assert f"nest deeper than {MAX_NESTING} levels" in err
+    assert f"(at byte {past.rindex('series') + 1})" in err
+
+
+def test_undecodable_inputs_exit_2_in_a_fresh_process(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(UNDECODABLE_SPECS["not_utf8"])
+    for argv in (
+        ["pipeline", "analyze", "--spec", str(spec), "--level", "1"],
+        ["eval", "--structure", nested_chain(MAX_NESTING + 1), "--state", "1,1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mscs", *argv], capture_output=True, text=True
+        )
+        assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr

@@ -7,7 +7,7 @@ from conftest import (
     oracle_eval,
     oracle_first_monotone_violation,
     oracle_is_ucv,
-    oracle_relevant,
+    oracle_least_context,
     oracle_space,
     oracle_ucv_set,
     random_expr,
@@ -97,17 +97,19 @@ def test_monotone_counterexample_is_lexicographically_least():
 
 
 def test_relevance_brute_force_agreement():
+    # n = 3 puts a component on a middle axis of the flat table
     rnd = random.Random(99)
-    n, max_state = 2, 2
-    space = list(oracle_space(n, max_state))
-    for _ in range(25):
-        table = {vec: rnd.randint(0, max_state) for vec in space}
-        fn = table.__getitem__
-        entries = check_relevance(fn, n, max_state)
-        for e in entries:
-            assert e.passed == oracle_relevant(
-                fn, n, max_state, e.component, e.level
-            )
+    max_state = 2
+    for n in (2, 3):
+        space = list(oracle_space(n, max_state))
+        for _ in range(25):
+            table = {vec: rnd.randint(0, max_state) for vec in space}
+            fn = table.__getitem__
+            for e in check_relevance(fn, n, max_state):
+                assert e.witness == oracle_least_context(
+                    fn, n, max_state, e.component, e.level
+                )
+                assert e.passed == (e.witness is not None)
 
 
 def test_relevance_witnesses_satisfy_definition():
@@ -428,7 +430,7 @@ def test_expression_path_matches_callable_path_on_random_trees():
         if (max_state + 1) ** n <= 81:
             checked += 1
             for e in check_relevance(expr, n, max_state):
-                assert e.passed == oracle_relevant(
+                assert e.witness == oracle_least_context(
                     fn, n, max_state, e.component, e.level
                 )
             for level in range(max_state + 1):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import UNDECODABLE_SPECS
 from mscs.cli import run_cli
 from mscs.errors import (
     InvalidPMFError,
@@ -75,12 +76,23 @@ def test_load_format_errors(tmp_path):
         (lambda d: d.update(segments="x"), "segments"),
         (lambda d: d["segments"][0].pop("name"), "name"),
         (lambda d: d["segments"][0].update(pmf=[0, 0.1, 0.2, 0.7]), "entries"),
+        (lambda d: d["segments"][0].update(pmf=[]), "s1.*entry"),
         (lambda d: d["segments"][0].update(pmf="x"), "pmf"),
     ]:
         doc = json.loads(json.dumps(base))
         mutate(doc)
         with pytest.raises(SpecFormatError, match=needle):
             load_pipeline_spec(write_spec(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "content", UNDECODABLE_SPECS.values(), ids=list(UNDECODABLE_SPECS)
+)
+def test_load_undecodable_spec_raises_spec_format_error(tmp_path, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    with pytest.raises(SpecFormatError):
+        load_pipeline_spec(path)
 
 
 def test_load_invalid_pmf_names_segment(tmp_path):
@@ -340,8 +352,6 @@ def test_export_distribution_csv(tmp_path):
 
 def test_export_errors(tmp_path):
     result = sweep_state1(load_case_study("above_average"), 1, 7)
-    with pytest.raises(ValueError):
-        export_results(result, tmp_path / "x.csv", format="tsv")
     with pytest.raises(TypeError):
         export_results(42, tmp_path / "x.csv")
     with pytest.raises(OSError):

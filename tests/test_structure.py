@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_eval, random_expr
+from conftest import nested_chain, oracle_eval, random_expr
 from mscs.errors import (
     ArityMismatchError,
     EmptyVectorError,
@@ -14,6 +14,7 @@ from mscs.errors import (
     ParseError,
 )
 from mscs.structure import (
+    MAX_NESTING,
     Component,
     KOutOfN,
     Parallel,
@@ -163,6 +164,20 @@ def test_parse_error_positions_exact():
     with pytest.raises(ParseError) as err:
         parse_expr("")
     assert err.value.position == 1
+
+
+@pytest.mark.parametrize("op", ["series", "parallel", "koon"])
+def test_parse_nesting_bound(op):
+    at_bound = nested_chain(MAX_NESTING, op)
+    assert format_expr(parse_expr(at_bound)) == at_bound
+    past = nested_chain(MAX_NESTING + 1, op)
+    with pytest.raises(ParseError) as err:
+        parse_expr(past)
+    # the innermost operator is the one past the bound
+    assert err.value.position == past.rindex(op) + 1
+    # the bound is on depth, not on the number of operators
+    below = nested_chain(MAX_NESTING - 1, op)
+    assert arity(parse_expr(f"series({below}, {below})")) == 2
 
 
 def test_format_examples():
