@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from collections.abc import Sequence
+from typing import TextIO
 
 from . import __version__
 from .coherence import coherence_report, enumerate_ucv
@@ -23,6 +24,7 @@ from .enumeration import LIMIT_ENV_VAR, ensure_enumerable, resolve_limit
 from .errors import MscsError, PropertyFailureError
 from .pipeline import (
     SweepResult,
+    _sweep_row_blocks,
     _write_sweep_csv,
     export_results,
     load_pipeline_spec,
@@ -270,16 +272,16 @@ def _cmd_pipeline_analyze(args) -> int:
     return 0
 
 
-# one row of the sweep document, keys in sorted order; %r is the repr that
-# json.dumps gives a finite float, and every sweep value is finite (draws
-# are clamped to [tiny, 1), the held pmfs are validated)
-_SWEEP_ROW = '{"P_pipeline_1": %r, "p_1_1": %r, "p_2_1": %r, "trial": %d}'
+# one row of the sweep document after its separator, keys in sorted order;
+# %r is the repr that json.dumps gives a finite float, and every sweep value
+# is finite (draws are clamped to [tiny, 1), the held pmfs are validated)
+_SWEEP_JSON_ROW = ', {"P_pipeline_1": %r, "p_1_1": %r, "p_2_1": %r, "trial": %d}'
 
 
-def _sweep_json(result: SweepResult) -> str:
-    """The sweep document, byte for byte ``json.dumps(doc, sort_keys=True)``
-    of its dict form, built without a dict per row."""
-    trials, p_1_1, p_2_1, performance = result.columns()
+def _write_sweep_json(result: SweepResult, handle: TextIO) -> None:
+    """Write the sweep document and a newline, byte for byte
+    ``json.dumps(doc, sort_keys=True)`` of its dict form, with the rows
+    rendered a block at a time instead of a dict per row."""
     best = result.argmax_row()
     argmax = json.dumps(
         {
@@ -290,13 +292,15 @@ def _sweep_json(result: SweepResult) -> str:
         },
         sort_keys=True,
     )
-    rows = ", ".join(
-        map(_SWEEP_ROW.__mod__, zip(performance, p_1_1, p_2_1, trials))
-    )
-    return (
+    handle.write(
         f'{{"argmax": {argmax}, '
-        f'"corner_supremum": {result.corner_supremum!r}, "rows": [{rows}], '
-        f'"seed": {result.seed:d}, "trials": {result.trials:d}}}'
+        f'"corner_supremum": {result.corner_supremum!r}, "rows": ['
+    )
+    blocks = _sweep_row_blocks(result, _SWEEP_JSON_ROW, (2, 0, 1))
+    handle.write(next(blocks)[2:])  # no separator before the first row
+    handle.writelines(blocks)
+    handle.write(
+        f'], "seed": {result.seed:d}, "trials": {result.trials:d}}}\n'
     )
 
 
@@ -306,7 +310,7 @@ def _cmd_pipeline_sweep(args) -> int:
     if args.out:
         export_results(result, args.out)
     if args.json:
-        print(_sweep_json(result))
+        _write_sweep_json(result, sys.stdout)
     elif args.out:
         best = result.argmax_row()
         print(f"rows {result.trials}")
@@ -467,6 +471,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        # e.g. a --trials or component count whose arrays cannot be had
+        reason = str(err) or "an allocation failed"
+        print(f"error: out of memory: {reason}", file=sys.stderr)
         return 2
 
 

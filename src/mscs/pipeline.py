@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
@@ -307,12 +308,20 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.random((trials, 2))
     np.maximum(draws, np.finfo(np.float64).tiny, out=draws)
-    performance = 1.0 - (1.0 - draws[:, 0]) * (1.0 - draws[:, 1]) * held_product
+    # 1 - ((1 - d0) * (1 - d1)) * held in place, with 1 - d1 formed a
+    # block at a time: the same operations as the scalar form, in its order
+    performance = 1.0 - draws[:, 0]
+    for start in range(0, trials, _ROW_BLOCK):
+        performance[start : start + _ROW_BLOCK] *= (
+            1.0 - draws[start : start + _ROW_BLOCK, 1]
+        )
+    performance *= held_product
+    np.subtract(1.0, performance, out=performance)
     return SweepResult(draws, performance, seed)
 
 
-# The sweep CSV kernel (see _sweep_csv_rows) renders text as uint32 words
-# of four bytes; a NUL byte marks a place that prints nothing.
+# The row renderer (see _render_rows) builds text as uint32 words of four
+# bytes; a NUL byte marks a place that prints nothing.
 @cache
 def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The four ASCII digits of 0..9999 as one word each: all of them,
@@ -327,6 +336,8 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _words(text: bytes) -> np.ndarray:
+    """``text`` as words, padded with NULs to a whole word."""
+    text += b"\0" * (-len(text) % 4)
     return np.frombuffer(text, np.uint8).view(np.uint32)
 
 
@@ -352,7 +363,7 @@ _ZEROS_AND_DIGIT = _words(
         for d in range(10)
     )
 )
-_COMMA_POINT, _NEWLINE = _words(b",0.\0\n\0\0\0")
+_CONVERSION = re.compile(r"(%d|%r|%\.17g)")
 
 
 def _base_10000(values: np.ndarray, groups: int) -> list[np.ndarray]:
@@ -367,27 +378,64 @@ def _base_10000(values: np.ndarray, groups: int) -> list[np.ndarray]:
     return out[::-1]
 
 
-def _sweep_csv_rows(first_trial: int, values: np.ndarray) -> str:
-    """``_SWEEP_ROW % (first_trial + i, *values[i])`` for each row ``i`` of
-    the ``(count, 3)`` float64 array ``values``, byte for byte.
+@cache
+def _row_layout(
+    template: str, groups: int
+) -> tuple[np.ndarray, int, tuple[int, ...], int, bool]:
+    """The words of one row of ``template``, whose conversions are one
+    ``%d`` and floats that are all ``%.17g`` or all ``%r``.
 
-    Rows whose three floats all lie in ``[1e-4, 1)`` are rendered by array
-    arithmetic. There ``%.17g`` prints ``x`` in fixed notation: ``0.``,
-    then ``-e - 1`` zeros, then the correctly rounded 17-digit integer
-    ``D = round(x * 10**(16 - e))`` without its trailing zeros, where
-    ``10**e <= x < 10**(e + 1)``. The product is formed exactly as
+    Each literal is padded to whole words; a float's literal ends in
+    ``0.`` and is followed by five words of digits (the zeros after the
+    point with the leading digit, then 16 digits), the ``%d`` by
+    ``groups`` words. Returns the row with those digit words NUL, the
+    first word of the ``%d`` and of each float, the place of the ``%d``
+    among the conversions and whether the floats print shortest digits.
+    """
+    literals = _CONVERSION.split(template)
+    conversions = literals[1::2]
+    words, trial_word, float_words = [], 0, []
+    for literal, conversion in zip(literals[::2], conversions):
+        if conversion == "%d":
+            words.append(_words(literal.encode()))
+            trial_word = sum(map(len, words))
+            words.append(np.zeros(groups, np.uint32))
+        else:
+            words.append(_words(literal.encode() + b"0."))
+            float_words.append(sum(map(len, words)))
+            words.append(np.zeros(5, np.uint32))
+    words.append(_words(literals[-1].encode()))
+    return (
+        np.concatenate(words),
+        trial_word,
+        tuple(float_words),
+        conversions.index("%d"),
+        "%r" in conversions,
+    )
+
+
+def _fixed_digits(
+    values: np.ndarray, shortest: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decade ``e`` of each float and its digits as a 17-digit
+    integer, and the mask of the floats printed from them.
+
+    Those are the floats in ``[1e-4, 1)``. There ``%.17g`` prints ``x`` as
+    ``0.``, then ``-e - 1`` zeros, then the correctly rounded 17-digit
+    integer ``D = round(x * 10**(16 - e))`` without its trailing zeros,
+    where ``10**e <= x < 10**(e + 1)``. The product is formed exactly as
     ``high + error`` (Dekker's two-product). ``high`` is at least
     ``10**16 > 2**53``, so it is an even integer, and ``high + rint(error)``
     is ``D`` rounded half to even, as ``%`` rounds. ``D`` stays below
     ``10**17``: the largest double below ``10**(e + 1)`` is more than ten
-    units of the last digit away from it. Every other row goes through the
-    format string itself.
+    units of the last digit away from it.
+
+    ``%r`` prints the same layout with the shortest digits that read back
+    as ``x``, the closest such if several (see :func:`_shortest`).
     """
-    count = len(values)
-    all_digits, lstripped, rstripped = _digit_words()
-    in_range = (values >= 1e-4) & (values < 1.0)
-    # rows printed by % get a stand-in, so no NaN reaches the int casts
-    x = np.where(in_range, values, 0.5)
+    printed = (values >= 1e-4) & (values < 1.0)
+    # floats printed by % get a stand-in, so no NaN reaches the int casts
+    x = np.where(printed, values, 0.5)
     decade = np.searchsorted(_DECADES, x, side="right") - 1
     high = x * _SCALES[decade]
     x_high, x_low = _veltkamp_split(x)
@@ -395,50 +443,119 @@ def _sweep_csv_rows(first_trial: int, values: np.ndarray) -> str:
     error = (
         (x_high * s_high - high) + x_high * s_low + x_low * s_high
     ) + x_low * s_low
-    mantissa = high.astype(np.int64) + np.rint(error).astype(np.int64)
+    rounded = np.rint(error)
+    digits = high.astype(np.int64) + rounded.astype(np.int64)
+    if shortest:
+        digits = _shortest(x, decade, digits, error - rounded)
+    return decade, digits, printed
 
-    # Words of a row: the trial number, then per field ",0." and the zeros
-    # after the point with the leading digit and four words of 16 digits,
-    # then the newline. Deleting the NULs leaves the row as printed.
-    trial = np.arange(first_trial, first_trial + count)
+
+def _shortest(
+    x: np.ndarray, decade: np.ndarray, digits: np.ndarray, residual: np.ndarray
+) -> np.ndarray:
+    """The shortest digits of ``x`` that read back as ``x``, the closest
+    such if several (ties to even, as ``repr`` rounds), as a 17-digit
+    integer; from the correctly rounded 17 ``digits`` and the exact
+    ``residual`` ``x * 10**(16 - e) - digits``.
+
+    The correctly rounded k-digit decimal is the closest one, so if any
+    k-digit decimal reads back as ``x``, it does: exactly when it lies
+    within half the gap between ``x`` and its neighbours. Seventeen digits
+    always do (the half gap is at least 0.55 units of the 17th digit), so
+    16 and then 15 digits are tried, and the shortest that reads back wins;
+    fewer than 15 show as trailing zeros of the 15-digit integer.
+
+    Every quantity compared is exact, in units of the 17th digit: the
+    residual is a multiple of 2**-46 below 1/2, the offsets below 128, and
+    the half gap a power of two times ``10**(16 - e)``. No decimal of 17
+    digits lies at exactly half the gap, and at the powers of two in
+    ``[1e-4, 1)``, whose gap below is half the gap above, 15 digits are
+    exact.
+    """
+    half_gap = np.spacing(x) * _SCALES[decade] * 0.5
+    chosen = digits
+    for unit in (10, 100):
+        multiple = digits // unit
+        offset = (digits - multiple * unit) + residual
+        # the nearer multiple of unit, a tie to the even one
+        up = (offset > unit / 2) | ((offset == unit / 2) & (multiple % 2 == 1))
+        distance = np.abs(offset - unit * up)
+        chosen = np.where(distance < half_gap, (multiple + up) * unit, chosen)
+    return chosen
+
+
+def _render_rows(template: str, first_trial: int, values: np.ndarray) -> str:
+    """``template % row`` for each row of the ``(count, floats)`` float64
+    array ``values``, with the trial number ``first_trial + i`` of row ``i``
+    at the template's ``%d``, joined byte for byte.
+
+    Rows whose floats all print in fixed notation (see
+    :func:`_fixed_digits`) are rendered by array arithmetic; every other
+    row goes through the template itself.
+    """
+    count = len(values)
     groups = -(-len(str(first_trial + count - 1)) // 4)
-    row = np.empty((count, groups + 3 * 6 + 1), np.uint32)
+    proto, trial_word, float_words, trial_arg, shortest = _row_layout(
+        template, groups
+    )
+    all_digits, lstripped, rstripped = _digit_words()
+    decade, digits, printed = _fixed_digits(values, shortest)
+
+    # Deleting the NULs from the words of a row leaves the row as printed.
+    row = np.empty((count, len(proto)), np.uint32)
+    row[:] = proto
+    trial = np.arange(first_trial, first_trial + count)
     shown = np.zeros(count, bool)
-    for j, digits in enumerate(_base_10000(trial, groups)):
-        row[:, j] = np.where(shown, all_digits[digits], lstripped[digits])
-        shown |= digits > 0
-    fields = row[:, groups:-1].reshape(count, 3, 6)
-    fields[..., 0] = _COMMA_POINT
-    leading, *rest = _base_10000(mantissa, 5)
-    fields[..., 1] = _ZEROS_AND_DIGIT[10 * decade + leading]
-    shown = np.zeros(mantissa.shape, bool)
+    for j, group in enumerate(_base_10000(trial, groups)):
+        row[:, trial_word + j] = np.where(
+            shown, all_digits[group], lstripped[group]
+        )
+        shown |= group > 0
+    fields = np.empty((*values.shape, 5), np.uint32)
+    leading, *rest = _base_10000(digits, 5)
+    fields[..., 0] = _ZEROS_AND_DIGIT[10 * decade + leading]
+    shown = np.zeros(digits.shape, bool)
     for j in range(3, -1, -1):
-        fields[..., 2 + j] = np.where(
+        fields[..., 1 + j] = np.where(
             shown, all_digits[rest[j]], rstripped[rest[j]]
         )
         shown |= rest[j] > 0
-    row[:, -1] = _NEWLINE
+    for f, word in enumerate(float_words):
+        row[:, word : word + 5] = fields[:, f]
 
     pieces = []
     done = 0
-    for i in np.flatnonzero(~in_range.all(axis=1)).tolist() + [count]:
+    for i in np.flatnonzero(~printed.all(axis=1)).tolist() + [count]:
         pieces.append(row[done:i].tobytes().translate(None, b"\0").decode())
         if i < count:
-            pieces.append(_SWEEP_ROW % (first_trial + i, *values[i].tolist()))
+            args = values[i].tolist()
+            args.insert(trial_arg, first_trial + i)
+            pieces.append(template % tuple(args))
         done = i + 1
     return "".join(pieces)
 
 
-def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
-    """Write a sweep's CSV header and rows to a text stream, a block of
-    rows at a time."""
-    handle.write(_SWEEP_HEADER)
+def _sweep_row_blocks(
+    result: SweepResult, template: str, order: Sequence[int]
+) -> Iterator[str]:
+    """A sweep's rows through ``template``, ``_ROW_BLOCK`` rows at a time,
+    which bounds the bytes held at once. ``order`` gives the template's
+    floats as columns: 0 is p_1_1, 1 is p_2_1, 2 is P_pipeline_1."""
     for start in range(0, result.trials, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, result.trials)
-        values = np.empty((stop - start, 3))
-        values[:, :2] = result.draws[start:stop]
-        values[:, 2] = result.performance[start:stop]
-        handle.write(_sweep_csv_rows(start + 1, values))
+        columns = (
+            result.draws[start:stop, 0],
+            result.draws[start:stop, 1],
+            result.performance[start:stop],
+        )
+        values = np.column_stack([columns[c] for c in order])
+        yield _render_rows(template, start + 1, values)
+
+
+def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
+    """Write a sweep's CSV header and rows to a text stream."""
+    handle.write(_SWEEP_HEADER)
+    handle.writelines(_sweep_row_blocks(result, _SWEEP_ROW, (0, 1, 2)))
 
 
 def export_results(

@@ -453,7 +453,8 @@ def test_pipeline_sweep_json_bytes_match_json_dumps(capsys, scenario):
     path = str(case_study_path(scenario))
     spec = load_pipeline_spec(path)
     for trials in (1, 2, 10_000):
-        for seed in (0, 7, 2**32 + 5):
+        # 7, 11, 23 and 42 are the benchmark's pinned sweep seeds
+        for seed in (0, 7, 11, 23, 42, 2**32 + 5):
             code, out, err = invoke(
                 capsys, "pipeline", "sweep", "--spec", path,
                 "--trials", str(trials), "--seed", str(seed), "--json",
@@ -657,6 +658,32 @@ def test_huge_component_index_exits_2_before_allocating(command):
         "error: state space holds 2^99999999999999 vectors, over the limit "
         "100000000; raise the limit explicitly to proceed\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["pipeline", "sweep", "--spec", ABOVE, "--trials", "100000000000",
+         "--seed", "1"],
+        ["dist", "--method", "closed", "--structure",
+         "series(c1, c99999999999999)", "--pmf", "0.5,0.5"],
+        ["dist", "--method", "mc", "--level", "0", "--structure",
+         "series(c1, c99999999999999)", "--pmf", "0.5,0.5"],
+    ],
+    ids=["sweep", "dist_closed", "dist_mc"],
+)
+def test_out_of_memory_exits_2_with_one_line(command):
+    # none of these enumerate, so no guard refuses them first: the
+    # allocation fails within the capped address space
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscs", *command],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.stderr.startswith("error: out of memory: ")
 
 
 def assert_one_line_error(code, out, err):

@@ -6,9 +6,9 @@ Each exhaustive pass over ``{0..4}^8`` (390,625 vectors) must stay within
 alone would exceed that. Expression trees check coherence and enumerate
 upper critical vectors on their binary image of 2^8 vectors, so those two
 passes must stay within 0.25 bytes per vector of the full space; the
-full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 48 bytes per
-trial: its columns take 24, and one Python float per trial alone would
-take another 24.
+full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 28 bytes per
+trial: its columns take 24, and it peaks at 24.3 since the performance
+column is computed in place; full-size temporaries peaked at 32.
 
 Monte-Carlo must stay within 20 bytes per draw (one uniform per component
 per trial) over one 65,536-trial chunk of the benchmark's 10-component
@@ -16,18 +16,22 @@ read-once tree: the draws take 8, and the tree is evaluated on one byte
 per draw, which peaks at 10.0. Building int64 state vectors and
 evaluating the multistate tree on them peaked at 21.6.
 
-The CSV export of a 1e5-trial sweep must peak at no more than 12 MB. It
-renders a fixed block of rows at a time, so its peak does not grow with
-the trial count: 2.6 MB with 4,096-row blocks. Formatting 65,536-row
-blocks through a tuple of Python objects per field peaked at 19.2 MB.
+The CSV export and the ``--json`` document of a 1e5-trial sweep must
+each peak at no more than 12 MB. Both render a fixed block of rows at a
+time, so their peaks do not grow with the trial count: 2.2 and 2.9 MB
+with 4,096-row blocks. Formatting 65,536-row blocks through a tuple of
+Python objects per field peaked at 19.2 MB, and the JSON document built
+as one string through a ``%r`` template at 37.6 MB.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_pmf
+from mscs.cli import _write_sweep_json
 from mscs.coherence import coherence_report, enumerate_ucv
 from mscs.pipeline import export_results, load_case_study, sweep_state1
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
@@ -56,7 +60,7 @@ MC_SAMPLES = 1 << 16
 MC_BYTES_PER_DRAW = 20
 
 SWEEP_TRIALS = 10**5
-SWEEP_BYTES_PER_TRIAL = 48
+SWEEP_BYTES_PER_TRIAL = 28
 SWEEP_EXPORT_PEAK_BYTES = 12 * 10**6
 
 
@@ -101,4 +105,15 @@ def test_sweep_peak_bytes_per_trial():
 def test_sweep_export_peak_bytes(tmp_path):
     result = sweep_state1(load_case_study("above_average"), SWEEP_TRIALS, 7)
     peak = peak_bytes(lambda: export_results(result, tmp_path / "sweep.csv"))
+    assert peak <= SWEEP_EXPORT_PEAK_BYTES, f"{peak / 1e6:.1f} MB"
+
+
+def test_sweep_json_peak_bytes():
+    result = sweep_state1(load_case_study("above_average"), SWEEP_TRIALS, 7)
+
+    def write():
+        with open(os.devnull, "w") as sink:
+            _write_sweep_json(result, sink)
+
+    peak = peak_bytes(write)
     assert peak <= SWEEP_EXPORT_PEAK_BYTES, f"{peak / 1e6:.1f} MB"

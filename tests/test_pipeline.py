@@ -31,7 +31,7 @@ from mscs.pipeline import (
     set_state1,
     state1_performance,
     sweep_state1,
-    _sweep_csv_rows,
+    _render_rows,
 )
 from mscs.probability import (
     ComponentDistribution,
@@ -426,9 +426,9 @@ def test_sweep_argmax_returns_first_of_tied_maxima():
     assert result.argmax_row() == SweepRow(2, 0.6, 0.5, 0.9)
 
 
-def format_rows(first_trial, values):
+def format_rows(first_trial, values, template=_SWEEP_ROW):
     return "".join(
-        _SWEEP_ROW % (first_trial + i, *row)
+        template % (first_trial + i, *row)
         for i, row in enumerate(values.tolist())
     )
 
@@ -467,7 +467,9 @@ fields = st.one_of(
 @example(first_trial=99_999_999, rows=[(0.5, 0.25, 0.125)] * 3)
 def test_sweep_csv_rows_match_format_string(first_trial, rows):
     values = np.array(rows, dtype=np.float64)
-    assert _sweep_csv_rows(first_trial, values) == format_rows(first_trial, values)
+    assert _render_rows(_SWEEP_ROW, first_trial, values) == format_rows(
+        first_trial, values
+    )
 
 
 @pytest.mark.parametrize("first_trial", WIDTH_EDGES)
@@ -484,4 +486,80 @@ def test_sweep_csv_rows_on_decade_edges_ties_and_fallbacks(first_trial):
     )
     rng.shuffle(values)
     values = values.reshape(-1, 3)
-    assert _sweep_csv_rows(first_trial, values) == format_rows(first_trial, values)
+    assert _render_rows(_SWEEP_ROW, first_trial, values) == format_rows(
+        first_trial, values
+    )
+
+
+SHORTEST_ROW = "%d,%r\n"
+#: Powers of two (their gap below is half the gap above), the tie family
+#: 0.5 + k * 2**-17 for odd k (0.50000762939453125: two 16-digit decimals
+#: are equally close and both read back; the even one is printed), and the
+#: edges of the fixed-notation range.
+SHORTEST_SPECIALS = [
+    *(2.0**-j for j in range(1, 20)),
+    *(0.5 + k * 2.0**-17 for k in (1, 3, 5, 7)),
+    float(np.nextafter(1e-4, 0)),
+    float(np.nextafter(1e-4, 1)),
+    float(np.nextafter(1.0, 0)),
+]
+
+
+def k_digit_decimal(k, leading, e, side):
+    """The double nearest a k-digit decimal in decade -e, or a neighbour."""
+    digits = leading % (9 * 10 ** (k - 1)) + 10 ** (k - 1)
+    x = float(f"{digits}e{1 - k - e}")
+    return float(np.nextafter(x, side)) if side is not None else x
+
+
+shortest_fields = st.one_of(
+    st.integers(1, 2**53 - 1).map(lambda k: k * 2.0**-53),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-5.0, 0.0, exclude_max=True).map(lambda t: 10.0**t),
+    st.builds(
+        k_digit_decimal,
+        st.integers(1, 17),
+        st.integers(0, 10**17),
+        st.integers(1, 5),
+        st.sampled_from([None, 0.0, 1.0]),
+    ),
+    st.sampled_from(SHORTEST_SPECIALS),
+    # dyadic rationals with few bits: rounding ties at 15, 16 or 17 digits
+    st.builds(
+        lambda k, m: k * 2.0**-m, st.integers(1, 2**18), st.integers(14, 24)
+    ).filter(lambda x: x < 1.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(shortest_fields, min_size=1, max_size=12))
+@example([0.5 + 2.0**-17])
+def test_render_rows_shortest_digits_match_repr(fields):
+    values = np.array(fields).reshape(-1, 1)
+    assert _render_rows(SHORTEST_ROW, 1, values) == format_rows(
+        1, values, SHORTEST_ROW
+    )
+
+
+def test_render_rows_shortest_digits_on_families():
+    rng = np.random.default_rng(5)
+    decimals = [
+        k_digit_decimal(k, int(lead), e, side)
+        for k in range(1, 18)
+        for lead in rng.integers(0, 10**17, 40)
+        for e in range(1, 5)
+        for side in (None, 0.0, 1.0)
+    ]
+    ties = [0.5 + k * 2.0**-17 for k in range(1, 2**13, 2)]
+    values = np.array(
+        SHORTEST_SPECIALS
+        + ties
+        + decimals
+        + rng.random(5_000).tolist()
+        + (10.0 ** rng.uniform(-5, 0, 5_000)).tolist()
+    ).reshape(-1, 1)
+    got = _render_rows(SHORTEST_ROW, 1, values).splitlines()
+    want = format_rows(1, values, SHORTEST_ROW).splitlines()
+    # compared row by row: a diff of the whole text would take minutes
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w] == []
