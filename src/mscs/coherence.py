@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     StateSpace,
     StateVector,
+    _check_level,
     as_vector,
     constant_vector,
     extreme_levels,
@@ -40,13 +41,12 @@ from .core import (
     meet,
 )
 from .enumeration import (
+    _ensure_within_limit,
     digits_of,
     ensure_enumerable,
     level_table,
-    resolve_limit,
 )
 from .errors import (
-    ExplosionLimitError,
     LevelOutOfRangeError,
     PreconditionViolatedError,
     UCVConsistencyError,
@@ -55,7 +55,9 @@ from .structure import (
     Kind,
     StructureExpr,
     StructureFunction,
+    _check_covers,
     as_level_function,
+    eval_expr_grid,
     kind_evaluator,
 )
 
@@ -204,9 +206,10 @@ def check_monotonicity(
     On failure, returns the lexicographically least violating pair (x, y).
     """
     if isinstance(structure, StructureExpr):
-        # min, max and order statistics of monotone children are monotone;
-        # the binary image is built only for its guard and arity checks
-        _binary_image(structure, n_components, max_state, limit)
+        # min, max and order statistics of monotone children are monotone,
+        # so only the guard and arity checks of a table remain
+        ensure_enumerable(n_components, max_state, limit)
+        _check_covers(structure, n_components)
         return MonotonicityResult(True)
     flat = level_table(structure, n_components, max_state, limit)
     return _monotonicity_from_table(flat, n_components, max_state)
@@ -218,7 +221,7 @@ def _binary_image(
     """Level table of ``expr`` over ``{0, 1}^n``, after the same guard and
     arity checks, in the same order, as the full table would get."""
     ensure_enumerable(n_components, max_state, limit)
-    return level_table(expr, n_components, 1, limit)
+    return eval_expr_grid(expr, n_components, 1).reshape(-1)
 
 
 def _monotonicity_from_table(
@@ -431,16 +434,12 @@ def is_upper_critical(
     """True iff x connects to ``level`` and every strictly lower vector
     falls below it. Checked by brute force over the down-set of x."""
     vec = as_vector(x)
-    space = StateSpace(max_state)
-    if not space.contains(vec):
+    if not StateSpace(max_state).contains(vec):
         raise LevelOutOfRangeError(f"vector {vec} outside the state space")
-    if not 0 <= level <= max_state:
-        raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
-    down_size = math.prod(v + 1 for v in vec)
-    if down_size > resolve_limit(limit):
-        raise ExplosionLimitError(
-            f"down-set of {vec} holds {down_size} vectors, over the limit"
-        )
+    _check_level(level, max_state)
+    _ensure_within_limit(
+        f"down-set of {vec}", math.prod(v + 1 for v in vec), limit
+    )
     fn = as_level_function(structure, len(vec))
     if int(fn(vec)) != level:
         return False
@@ -473,8 +472,7 @@ def enumerate_ucv(
     the upper critical vectors are j times the binary ones to level 1, in
     the same order, and the zero vector is the only one to level 0.
     """
-    if not 0 <= level <= max_state:
-        raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
+    _check_level(level, max_state)
     if isinstance(structure, StructureExpr):
         binary = _binary_image(structure, n_components, max_state, limit)
         # binary level 0 yields the zero vector, which scales to itself

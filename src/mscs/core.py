@@ -25,22 +25,39 @@ StateVector = tuple[int, ...]
 MAX_SUPPORTED_STATE = 255
 
 
+def _check_max_state(max_state: int, enumerated: bool = True) -> None:
+    """Refuse a level set ``0..max_state`` with fewer than two states, or,
+    when it is to be ``enumerated``, with ``max_state`` past
+    ``MAX_SUPPORTED_STATE``. M >= 1 holds for every analysis; the ceiling
+    binds only the enumerator (closed forms and sampling accept any M)."""
+    if max_state < 1 or (enumerated and max_state > MAX_SUPPORTED_STATE):
+        raise LevelOutOfRangeError(
+            f"max_state must be in 1..{MAX_SUPPORTED_STATE}, got {max_state}"
+        )
+
+
+def _check_level(level: int, max_state: int) -> None:
+    """Refuse a level outside ``0..max_state``."""
+    if not 0 <= level <= max_state:
+        raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
+
+
+def _nonempty(x: Sequence[int]) -> Sequence[int]:
+    """``x`` itself, refused with :class:`EmptyVectorError` when empty."""
+    if len(x) == 0:
+        raise EmptyVectorError("state vector must be nonempty")
+    return x
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """The shared level set ``{0, 1, ..., max_state}``."""
+    """The shared level set ``{0, 1, ..., max_state}`` of an enumerable
+    space: ``max_state`` in ``1..MAX_SUPPORTED_STATE``."""
 
     max_state: int
 
     def __post_init__(self) -> None:
-        if self.max_state < 1:
-            raise LevelOutOfRangeError(
-                "max_state must be at least 1 (two distinguishable states)"
-            )
-        if self.max_state > MAX_SUPPORTED_STATE:
-            raise LevelOutOfRangeError(
-                f"max_state {self.max_state} exceeds the supported "
-                f"ceiling {MAX_SUPPORTED_STATE}"
-            )
+        _check_max_state(self.max_state)
 
     @property
     def levels(self) -> range:
@@ -50,14 +67,13 @@ class StateSpace:
         return len(vector) > 0 and all(0 <= v <= self.max_state for v in vector)
 
     def size(self, n_components: int) -> int:
+        """Number of vectors of ``n_components`` components."""
         return (self.max_state + 1) ** n_components
 
 
 def as_vector(levels: Sequence[int]) -> StateVector:
     """Coerce a level sequence to a state vector, rejecting empty input."""
-    vec = tuple(int(v) for v in levels)
-    if not vec:
-        raise EmptyVectorError("state vector must be nonempty")
+    vec = _nonempty(tuple(int(v) for v in levels))
     if any(v < 0 for v in vec):
         raise LevelOutOfRangeError(f"levels must be non-negative, got {vec}")
     return vec
@@ -68,8 +84,7 @@ def _check_pair(x: Sequence[int], y: Sequence[int]) -> None:
         raise LengthMismatchError(
             f"vector lengths differ: {len(x)} != {len(y)}"
         )
-    if len(x) == 0:
-        raise EmptyVectorError("state vectors must be nonempty")
+    _nonempty(x)
 
 
 def meet(x: Sequence[int], y: Sequence[int]) -> StateVector:
@@ -110,13 +125,9 @@ def update_at(x: Sequence[int], index: int, level: int) -> StateVector:
 
 def constant_vector(n_components: int, level: int) -> StateVector:
     """Vector of ``n_components`` copies of ``level``."""
-    if n_components < 1:
-        raise EmptyVectorError("n_components must be at least 1")
-    return (level,) * n_components
+    return _nonempty((level,) * n_components)
 
 
 def extreme_levels(x: Sequence[int]) -> tuple[int, int]:
     """Minimum and maximum entry of a nonempty vector."""
-    if len(x) == 0:
-        raise EmptyVectorError("state vector must be nonempty")
-    return min(x), max(x)
+    return min(_nonempty(x)), max(x)

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import MAX_SUPPORTED_STATE, StateVector
+from .core import StateSpace, StateVector
 from .errors import ExplosionLimitError, InvalidLimitError, LevelOutOfRangeError
 from .structure import StructureExpr, eval_expr_grid
 
@@ -62,34 +62,37 @@ def resolve_limit(limit: int | None = None) -> int:
     return value
 
 
-def space_size(n_components: int, max_state: int) -> int:
-    return (max_state + 1) ** n_components
-
-
 def ensure_enumerable(
     n_components: int, max_state: int, limit: int | None = None
 ) -> int:
-    """Return the space size, refusing outright when it exceeds the limit."""
+    """Return the space size, refusing outright when it exceeds the limit.
+
+    Checks n >= 1, then M (through :class:`StateSpace`, which also counts
+    the space), then the limit.
+    """
     if n_components < 1:
         raise LevelOutOfRangeError("n_components must be at least 1")
-    if not 1 <= max_state <= MAX_SUPPORTED_STATE:
-        raise LevelOutOfRangeError(
-            f"max_state must be in 1..{MAX_SUPPORTED_STATE}, got {max_state}"
-        )
+    space = StateSpace(max_state)
     bound = resolve_limit(limit)
     if n_components > bound.bit_length():
-        # 2^n alone exceeds the bound; refuse before building a huge power
-        raise ExplosionLimitError(
-            f"state space holds {max_state + 1}^{n_components} vectors, over "
-            f"the limit {bound}; raise the limit explicitly to proceed"
-        )
-    size = space_size(n_components, max_state)
-    if size > bound:
-        raise ExplosionLimitError(
-            f"state space holds {size} vectors, over the limit {bound}; "
-            "raise the limit explicitly to proceed"
-        )
-    return size
+        # 2^n alone exceeds the bound: (M+1)^n is named, never built
+        size: int | str = f"{max_state + 1}^{n_components}"
+    else:
+        size = space.size(n_components)
+    return _ensure_within_limit("state space", size, bound)
+
+
+def _ensure_within_limit(what: str, size: int | str, limit: int | None) -> int:
+    """``size``, the vector count of ``what`` (the state space, a down-set),
+    refused with :class:`ExplosionLimitError` past the limit; a count too
+    large to build comes as its text and is always refused."""
+    bound = resolve_limit(limit)
+    if isinstance(size, int) and size <= bound:
+        return size
+    raise ExplosionLimitError(
+        f"{what} holds {size} vectors, over the limit {bound}; "
+        "raise the limit explicitly to proceed"
+    )
 
 
 def digits_of(index: int, n_components: int, max_state: int) -> StateVector:
@@ -107,7 +110,7 @@ def iter_vector_chunks(
     """Yield ``(first_flat_index, digits_matrix)`` blocks of ``2**16``
     vectors in lexicographic order. Each matrix row holds one state
     vector."""
-    total = space_size(n_components, max_state)
+    total = StateSpace(max_state).size(n_components)
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         yield lo, _digit_matrix(lo, hi, n_components, max_state + 1)
@@ -137,7 +140,7 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     multiple of the chunk whatever the space size.
     """
     n_components, radix = pmf_matrix.shape
-    total = radix**n_components
+    total = StateSpace(radix - 1).size(n_components)
     # trailing axes per block; blocks of at most chunk/radix vectors keep
     # the part computed beyond a chunk's two edges small
     trailing = 0

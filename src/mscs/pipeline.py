@@ -22,8 +22,10 @@ from typing import TextIO, Union
 
 import numpy as np
 
+from .core import _check_max_state
 from .errors import (
     InvalidPMFError,
+    LevelOutOfRangeError,
     PreconditionViolatedError,
     SpecFormatError,
 )
@@ -60,8 +62,10 @@ class PipelineSpec:
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
-        if self.max_state < 1:
-            raise SpecFormatError("max_state must be at least 1")
+        try:
+            _check_max_state(self.max_state, enumerated=False)
+        except LevelOutOfRangeError as err:
+            raise SpecFormatError(str(err)) from None
         if not self.segments:
             raise SpecFormatError("a pipeline needs at least one segment")
         for seg in self.segments:

@@ -23,13 +23,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .core import _check_level, _check_max_state
 from .enumeration import iter_weight_chunks, level_table
 from .errors import (
-    ArityMismatchError,
     HypothesisViolatedError,
     InvalidPMFError,
     LengthMismatchError,
-    LevelOutOfRangeError,
     PreconditionViolatedError,
 )
 from .structure import (
@@ -39,8 +38,8 @@ from .structure import (
     Parallel,
     Series,
     StructureExpr,
+    _check_covers,
     _eval_grid,
-    arity,
     kind_evaluator,
 )
 
@@ -175,12 +174,8 @@ def _ensure_valid_family(
         raise LengthMismatchError(
             f"component distributions disagree on max_state: {sorted(widths)}"
         )
+    _check_max_state(family[0].max_state, enumerated=False)
     return family
-
-
-def _check_level(level: int, max_state: int) -> None:
-    if not 0 <= level <= max_state:
-        raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
 
 
 def _check_seed(seed: int) -> None:
@@ -196,11 +191,7 @@ def _system_family(
     if not isinstance(expr, StructureExpr):
         raise TypeError("expr must be a StructureExpr")
     family = _ensure_valid_family(dists)
-    if arity(expr) > len(family):
-        raise ArityMismatchError(
-            f"{len(family)} distributions do not cover component indices "
-            f"up to {arity(expr)}"
-        )
+    _check_covers(expr, len(family))
     return family
 
 

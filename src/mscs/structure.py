@@ -26,6 +26,7 @@ from typing import Literal, Union
 
 import numpy as np
 
+from .core import _nonempty
 from .errors import (
     ArityMismatchError,
     EmptyVectorError,
@@ -114,16 +115,12 @@ Kind = Literal["series", "parallel"]
 
 def eval_series(x: Sequence[int]) -> int:
     """System level of a series arrangement: the minimum component level."""
-    if len(x) == 0:
-        raise EmptyVectorError("state vector must be nonempty")
-    return min(x)
+    return min(_nonempty(x))
 
 
 def eval_parallel(x: Sequence[int]) -> int:
     """System level of a parallel arrangement: the maximum component level."""
-    if len(x) == 0:
-        raise EmptyVectorError("state vector must be nonempty")
-    return max(x)
+    return max(_nonempty(x))
 
 
 def eval_k_out_of_n(k: int, x: Sequence[int]) -> int:
@@ -132,11 +129,10 @@ def eval_k_out_of_n(k: int, x: Sequence[int]) -> int:
     k=1 reduces to parallel, k=n to series. Ties are resolved naturally by
     the ascending sort.
     """
-    if len(x) == 0:
-        raise EmptyVectorError("state vector must be nonempty")
-    if not 1 <= k <= len(x):
-        raise InvalidKError(f"k={k} outside 1..{len(x)}")
-    return sorted(x)[len(x) - k]
+    n = len(_nonempty(x))
+    if not 1 <= k <= n:
+        raise InvalidKError(f"k={k} outside 1..{n}")
+    return sorted(x)[n - k]
 
 
 def kind_evaluator(kind: Kind) -> Callable[[Sequence[int]], int]:
@@ -156,6 +152,17 @@ def arity(expr: StructureExpr) -> int:
     raise TypeError(f"not a structure expression: {expr!r}")
 
 
+def _check_covers(expr: StructureExpr, n_components: int) -> None:
+    """Refuse ``n_components`` (a vector's length, a matrix's width, a
+    family's size) below the largest component index ``expr`` references."""
+    if n_components < arity(expr):
+        noun = "component does" if n_components == 1 else "components do"
+        raise ArityMismatchError(
+            f"{n_components} {noun} not cover component indices up to "
+            f"{arity(expr)}"
+        )
+
+
 def eval_expr(expr: StructureExpr, x: Sequence[int]) -> int:
     """Recursively evaluate an expression on a state vector.
 
@@ -163,11 +170,7 @@ def eval_expr(expr: StructureExpr, x: Sequence[int]) -> int:
     are permitted (and ignored) so that an expression can be checked inside
     a larger declared component set.
     """
-    if len(x) < arity(expr):
-        raise ArityMismatchError(
-            f"vector of length {len(x)} does not cover component "
-            f"indices up to {arity(expr)}"
-        )
+    _check_covers(expr, len(x))
     return _eval(expr, x)
 
 
@@ -189,11 +192,7 @@ def eval_expr_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
     states = np.asarray(states)
     if states.ndim != 2:
         raise ArityMismatchError("states must be a 2-D matrix of levels")
-    if states.shape[1] < arity(expr):
-        raise ArityMismatchError(
-            f"matrix width {states.shape[1]} does not cover component "
-            f"indices up to {arity(expr)}"
-        )
+    _check_covers(expr, states.shape[1])
     # column views broadcast against each other like grid axes
     return _eval_grid(expr, list(states.T))
 
@@ -210,11 +209,7 @@ def eval_expr_grid(
     axis ``i-1``, and every node combines the broadcast shapes of its
     children, so no digit matrix is ever materialized.
     """
-    if n_components < arity(expr):
-        raise ArityMismatchError(
-            f"{n_components} components do not cover component indices "
-            f"up to {arity(expr)}"
-        )
+    _check_covers(expr, n_components)
     levels = np.arange(max_state + 1, dtype=np.uint8)
     axes = [
         levels.reshape((-1,) + (1,) * (n_components - 1 - i))
@@ -255,11 +250,7 @@ def as_level_function(
 ) -> Callable[[Sequence[int]], int]:
     """View any structure function as a plain vector-to-level callable."""
     if isinstance(structure, StructureExpr):
-        if n_components < arity(structure):
-            raise ArityMismatchError(
-                f"{n_components} components do not cover indices up to "
-                f"{arity(structure)}"
-            )
+        _check_covers(structure, n_components)
         return lambda x: _eval(structure, x)
     if callable(structure):
         return structure

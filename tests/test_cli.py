@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import jsonschema
@@ -461,7 +462,17 @@ def test_pipeline_sweep_json_bytes_match_json_dumps(capsys, scenario):
             )
             assert code == 0 and err == ""
             doc = sweep_doc(sweep_state1(spec, trials, seed))
-            assert out == json.dumps(doc, sort_keys=True) + "\n"
+            want = json.dumps(doc, sort_keys=True) + "\n"
+            # rows first: a failure names the first differing row, where a
+            # diff of the whole ~0.9 MB text would run for minutes
+            rows, want_rows = out.split("}, {"), want.split("}, {")
+            pairs = enumerate(zip_longest(rows, want_rows))
+            first = next((i for i, (got, row) in pairs if got != row), None)
+            assert first is None, (
+                f"row {first}: {rows[first:first + 1]} != "
+                f"{want_rows[first:first + 1]}"
+            )
+            assert out == want
             if seed == 7:
                 check_schema("pipeline_sweep.schema.json", json.loads(out))
 
@@ -712,6 +723,58 @@ def test_undecodable_spec_exits_2_with_one_line(capsys, tmp_path, command, conte
     path = tmp_path / "spec.json"
     path.write_bytes(content)
     assert_one_line_error(*invoke(capsys, *command, str(path)))
+
+
+ONE_LEVEL_COMMANDS = {
+    "dist_exact": ["dist", "--structure", "c1"],
+    "dist_exact_broadcast": ["dist", "--structure", "series(c1, c2)"],
+    "dist_closed": ["dist", "--method", "closed", "--structure", "c1"],
+    "dist_mc": ["dist", "--method", "mc", "--level", "0", "--structure", "c1"],
+    "bounds": ["bounds", "--kind", "series", "--level", "0"],
+    "dominance": ["dominance", "--structure", "c1", "--pmf-prime", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command", ONE_LEVEL_COMMANDS.values(), ids=list(ONE_LEVEL_COMMANDS)
+)
+def test_one_entry_pmf_exits_2_with_the_same_line(capsys, command):
+    # M >= 1 for every command: the family check refuses M = 0, and so does
+    # the guard that runs before a single --pmf is broadcast
+    code, out, err = invoke(capsys, *command, "--pmf", "1")
+    assert_one_line_error(code, out, err)
+    assert err == "error: max_state must be in 1..255, got 0\n"
+
+
+def test_one_level_spec_exits_2_with_the_same_line(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps({"max_state": 0, "segments": [{"name": "a", "pmf": [1]}]})
+    )
+    for command in SPEC_COMMANDS.values():
+        code, out, err = invoke(capsys, *command, str(path))
+        assert_one_line_error(code, out, err)
+        assert err == "error: max_state must be in 1..255, got 0\n"
+
+
+def test_max_state_ceiling_binds_only_the_enumerator(capsys):
+    # 301 levels, all mass on the top one
+    pmf = ",".join(["0"] * 300 + ["1"])
+    zero = "0.0000000000"
+    dist = ["dist", "--structure", "c1", "--level", "299", "--method"]
+    for command, want in (
+        ([*dist, "closed"], f"{zero}\n"),
+        ([*dist, "mc", "--samples", "10"], f"estimate  {zero}\nstd_error {zero}\n"),
+        (["bounds", "--kind", "series", "--level", "299"], f"lower {zero}\nupper {zero}\n"),
+    ):
+        assert invoke(capsys, *command, "--pmf", pmf) == (0, want, "")
+    for command in (
+        [*dist, "exact"],
+        ["dominance", "--structure", "c1", "--pmf-prime", pmf],
+    ):
+        code, out, err = invoke(capsys, *command, "--pmf", pmf)
+        assert_one_line_error(code, out, err)
+        assert err == "error: max_state must be in 1..255, got 300\n"
 
 
 PMF = ["--pmf", "0.2,0.3,0.5"]

@@ -105,10 +105,10 @@ def test_state_space():
     assert space.size(3) == 27
     assert space.contains((0, 2, 1))
     assert not space.contains((0, 3))
-    with pytest.raises(LevelOutOfRangeError):
-        StateSpace(0)
-    with pytest.raises(LevelOutOfRangeError):
-        StateSpace(256)
+    for max_state in (0, 256):
+        with pytest.raises(LevelOutOfRangeError) as err:
+            StateSpace(max_state)
+        assert str(err.value) == f"max_state must be in 1..255, got {max_state}"
 
 
 def test_as_vector_validation():

@@ -10,6 +10,11 @@ full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 28 bytes
 trial: its columns take 24, and it peaks at 24.3 since the performance
 column is computed in place; full-size temporaries peaked at 32.
 
+A tree is monotone by construction, so ``check_monotonicity`` on one runs
+the guard and the arity check and builds no table: on a 20-component
+series it must peak below 64 KiB, where the binary image alone is 1 MiB.
+It peaks at about 1 KB.
+
 Monte-Carlo must stay within 20 bytes per draw (one uniform per component
 per trial) over one 65,536-trial chunk of the benchmark's 10-component
 read-once tree: the draws take 8, and the tree is evaluated on one byte
@@ -32,10 +37,10 @@ import pytest
 
 from conftest import random_pmf
 from mscs.cli import _write_sweep_json
-from mscs.coherence import coherence_report, enumerate_ucv
+from mscs.coherence import check_monotonicity, coherence_report, enumerate_ucv
 from mscs.pipeline import export_results, load_case_study, sweep_state1
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
-from mscs.structure import parse_expr
+from mscs.structure import component, parse_expr, series
 
 N, MAX_STATE = 8, 4
 VECTORS = (MAX_STATE + 1) ** N
@@ -52,6 +57,8 @@ PASSES = {
 }
 
 TREE_PASSES = ("coherence_report", "enumerate_ucv")
+
+MONOTONICITY_PEAK_BYTES = 64 * 1024
 
 MC_TREE = parse_expr(
     "series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8, c9, c10)"
@@ -86,6 +93,12 @@ def test_tree_coherence_peak_bytes_per_vector(name):
     peak = peak_bytes(PASSES[name])
     per_vector = peak / VECTORS
     assert per_vector <= TREE_BYTES_PER_VECTOR, f"{per_vector:.3f} B/vector"
+
+
+def test_tree_monotonicity_builds_no_table():
+    expr = series(*(component(i) for i in range(1, 21)))
+    peak = peak_bytes(lambda: check_monotonicity(expr, 20, 1))
+    assert peak <= MONOTONICITY_PEAK_BYTES, f"{peak} B"
 
 
 def test_monte_carlo_peak_bytes_per_draw():

@@ -116,6 +116,27 @@ def test_exact_validation():
         exact_system_distribution(c1, [ComponentDistribution((0.5, 0.6))])
 
 
+def test_one_level_family_refused_by_every_analysis():
+    # M >= 1 for every analysis; only the enumerator stops at 255
+    one = [ComponentDistribution((1.0,))]
+    for call in (
+        lambda: exact_system_distribution(c1, one),
+        lambda: closed_form_distribution(c1, one),
+        lambda: monte_carlo_cdf(c1, one, 0, 10, 0),
+        lambda: closed_form_cdf("series", one, 0),
+        lambda: cdf_bounds("parallel", one, 0),
+        lambda: dominance_check(c1, one, one),
+    ):
+        with pytest.raises(LevelOutOfRangeError) as err:
+            call()
+        assert str(err.value) == "max_state must be in 1..255, got 0"
+    wide = [ComponentDistribution((0.0,) * 300 + (1.0,))]
+    assert closed_form_distribution(c1, wide).cdf[299:] == (0.0, 1.0)
+    assert cdf_bounds("series", wide, 300) == (1.0, 1.0)
+    with pytest.raises(LevelOutOfRangeError):
+        exact_system_distribution(c1, wide)
+
+
 def test_exact_handles_zero_mass_levels():
     from conftest import oracle_distribution
     from mscs.structure import KOutOfN

@@ -13,6 +13,7 @@ from mscs.errors import (
     InvalidKError,
     ParseError,
 )
+from mscs.probability import closed_form_distribution
 from mscs.structure import (
     MAX_NESTING,
     Component,
@@ -20,8 +21,10 @@ from mscs.structure import (
     Parallel,
     Series,
     arity,
+    as_level_function,
     eval_expr,
     eval_expr_batch,
+    eval_expr_grid,
     eval_k_out_of_n,
     eval_parallel,
     eval_series,
@@ -233,6 +236,27 @@ def test_batch_matches_scalar():
         got = eval_expr_batch(expr, states)
         want = [oracle_eval(expr, tuple(row)) for row in states.tolist()]
         assert got.tolist() == want
+
+
+def test_arity_refusals_share_one_message():
+    # a vector's length, a matrix's width, a component count and a family's
+    # size are refused in the same words, with the verb agreeing
+    expr = series(c1, c2)
+    for call in (
+        lambda: eval_expr(expr, (1,)),
+        lambda: eval_expr_batch(expr, np.zeros((3, 1), dtype=np.int64)),
+        lambda: eval_expr_grid(expr, 1, 2),
+        lambda: as_level_function(expr, 1),
+        lambda: closed_form_distribution(expr, [(0.5, 0.5)]),
+    ):
+        with pytest.raises(ArityMismatchError) as err:
+            call()
+        assert str(err.value) == (
+            "1 component does not cover component indices up to 2"
+        )
+    with pytest.raises(ArityMismatchError) as err:
+        eval_expr(series(c1, c3), (1, 1))
+    assert str(err.value) == "2 components do not cover component indices up to 3"
 
 
 def test_batch_validation():
