@@ -19,7 +19,7 @@ from typing import TextIO
 
 from . import __version__
 from .coherence import coherence_report, enumerate_ucv
-from .core import as_vector
+from .core import _check_level, as_vector
 from .enumeration import LIMIT_ENV_VAR, ensure_enumerable, resolve_limit
 from .errors import MscsError, PropertyFailureError
 from .pipeline import (
@@ -34,6 +34,7 @@ from .pipeline import (
 from .probability import (
     ComponentDistribution,
     _dominance,
+    _ensure_valid_family,
     cdf_bounds,
     closed_form_distribution,
     exact_system_distribution,
@@ -184,12 +185,13 @@ def _cmd_dist(args) -> int:
             print(f"std_error {est.std_error:.10f}")
         return 0
 
+    if args.level is not None:
+        # refuse a level outside the family's 0..M before paying for a method
+        _check_level(args.level, _ensure_valid_family(dists)[0].max_state)
     if args.method == "exact":
         dist = exact_system_distribution(expr, dists, args.limit)
     else:  # closed
         dist = closed_form_distribution(expr, dists)
-    if args.level is not None:
-        value = dist.cdf_at(args.level)  # rejects a bad level before output
 
     if args.out:
         export_results(dist, args.out)
@@ -205,7 +207,7 @@ def _cmd_dist(args) -> int:
         )
     else:
         if args.level is not None:
-            print(f"{value:.10f}")
+            print(f"{dist.cdf_at(args.level):.10f}")
         else:
             print("level pmf cdf")
             for j in range(dist.max_state + 1):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,10 +38,10 @@ from .core import (
     join,
     leq,
     meet,
+    update_at,
 )
 from .enumeration import (
     _ensure_within_limit,
-    digits_of,
     ensure_enumerable,
     level_table,
 )
@@ -211,54 +210,52 @@ def check_monotonicity(
         ensure_enumerable(n_components, max_state, limit)
         _check_covers(structure, n_components)
         return MonotonicityResult(True)
-    flat = level_table(structure, n_components, max_state, limit)
-    return _monotonicity_from_table(flat, n_components, max_state)
+    table = _level_grid(structure, n_components, max_state, limit)
+    return _monotonicity_from_table(table)
 
 
-def _binary_image(
-    expr: StructureExpr, n_components: int, max_state: int, limit: int | None
+def _level_grid(
+    structure: StructureFunction,
+    n_components: int,
+    max_state: int,
+    limit: int | None,
 ) -> np.ndarray:
-    """Level table of ``expr`` over ``{0, 1}^n``, after the same guard and
-    arity checks, in the same order, as the full table would get."""
-    ensure_enumerable(n_components, max_state, limit)
-    return eval_expr_grid(expr, n_components, 1).reshape(-1)
+    """The level table every coherence pass reads, one axis per component:
+    a tree's binary image over ``{0, 1}^n``, or a callable's full space.
+    Both get the same guard and arity checks, in the same order."""
+    if isinstance(structure, StructureExpr):
+        ensure_enumerable(n_components, max_state, limit)
+        return eval_expr_grid(structure, n_components, 1)
+    table = level_table(structure, n_components, max_state, limit)
+    return table.reshape((max_state + 1,) * n_components)
 
 
-def _monotonicity_from_table(
-    flat: np.ndarray, n_components: int, max_state: int
-) -> MonotonicityResult:
+def _monotonicity_from_table(table: np.ndarray) -> MonotonicityResult:
     # suffix minima along each axis compose to the minimum over the
-    # componentwise up-set of every vector
-    upmin = flat.copy()
-    for view in _axis_views(upmin, n_components, max_state):
-        for i in range(max_state - 1, -1, -1):
-            np.minimum(view[:, i], view[:, i + 1], out=view[:, i])
-    bad = flat > upmin
+    # componentwise up-set of every vector; ``view[i, ...]`` stays a
+    # writable view even when the table has a single axis
+    upmin = table.copy()
+    for axis in range(upmin.ndim):
+        view = np.moveaxis(upmin, axis, 0)
+        for i in range(len(view) - 2, -1, -1):
+            np.minimum(view[i, ...], view[i + 1], out=view[i, ...])
+    bad = table > upmin
     del upmin
     if not bad.any():
         return MonotonicityResult(True)
-    x_flat = int(np.argmax(bad))
-    x = digits_of(x_flat, n_components, max_state)
-    value_x = int(flat[x_flat])
+    x = _vector_at(int(np.argmax(bad)), table.shape)
+    value_x = int(table[x])
     # the up-set of x is a box whose C order is lexicographic, so its first
     # hit is the least violating y
-    box = flat.reshape((max_state + 1,) * n_components)[
-        tuple(slice(v, None) for v in x)
-    ]
-    offset = np.unravel_index(int(np.argmax(box < value_x)), box.shape)
-    y = tuple(v + int(d) for v, d in zip(x, offset))
+    box = table[tuple(slice(v, None) for v in x)]
+    offset = _vector_at(int(np.argmax(box < value_x)), box.shape)
+    y = tuple(v + d for v, d in zip(x, offset))
     return MonotonicityResult(False, (x, y), (value_x, int(box[offset])))
 
 
-def _axis_views(
-    flat: np.ndarray, n_components: int, max_state: int
-) -> Iterator[np.ndarray]:
-    """One ``(before, radix, after)`` view of the flat table per axis: the
-    middle index is that component's level, the outer two enumerate the
-    other components in lexicographic order."""
-    radix = max_state + 1
-    for axis in range(n_components):
-        yield flat.reshape(radix**axis, radix, radix ** (n_components - axis - 1))
+def _vector_at(index: int, shape: tuple[int, ...]) -> StateVector:
+    """The vector at a flat C-order index of a table of this shape."""
+    return tuple(int(v) for v in np.unravel_index(index, shape))
 
 
 def check_relevance(
@@ -269,62 +266,49 @@ def check_relevance(
 ) -> tuple[RelevanceEntry, ...]:
     """For every component and level, search for a context in which only
     that component's level produces that system level."""
-    if isinstance(structure, StructureExpr):
-        binary = _binary_image(structure, n_components, max_state, limit)
-        return _relevance_from_binary(binary, n_components, max_state)
-    flat = level_table(structure, n_components, max_state, limit)
-    return _relevance_from_table(flat, n_components, max_state)
+    table = _level_grid(structure, n_components, max_state, limit)
+    return _relevance_from_table(table, max_state)
 
 
 def _relevance_from_table(
-    flat: np.ndarray, n_components: int, max_state: int
+    table: np.ndarray, max_state: int
 ) -> tuple[RelevanceEntry, ...]:
+    """Relevance of every component at every level ``0..max_state``.
+
+    A table of radix 2 is a tree's binary image (or a full table at
+    ``max_state`` 1). There, levels 0 and 1 ask for the same context, and
+    a component is relevant at level j exactly when it is relevant in the
+    binary table: the least witness at level j is ``min(j+1, max_state)``
+    times the least binary context, since mapping every context entry to
+    that scale if it reaches it and to 0 otherwise keeps a witness a
+    witness and never raises it.
+    """
+    top = table.shape[0] - 1
     entries: list[RelevanceEntry] = []
-    for axis, view in enumerate(_axis_views(flat, n_components, max_state)):
-        # a context is a (before, after) pair; only substituting ``level``
-        # for this component may give system level ``level``
-        for level in range(max_state + 1):
-            ok = view[:, level] == level
-            for sub in range(max_state + 1):
+    for axis in range(table.ndim):
+        view = np.moveaxis(table, axis, 0)
+        # a context is the other components' digits; only substituting
+        # ``level`` for this component may give system level ``level``
+        contexts = []
+        for level in range(top + 1):
+            ok = view[level] == level
+            for sub in range(top + 1):
                 if sub != level:
-                    ok &= view[:, sub] != level
+                    ok &= view[sub] != level
             if ok.any():
                 # the least context, with this component's digit at 0
-                before, after = divmod(int(np.argmax(ok)), ok.shape[1])
-                witness = digits_of(
-                    before * view[0].size + after, n_components, max_state
-                )
-                entries.append(
-                    RelevanceEntry(axis + 1, level, True, witness, None)
-                )
+                least = _vector_at(int(np.argmax(ok)), ok.shape)
+                contexts.append(least[:axis] + (0,) + least[axis:])
             else:
-                entries.append(_irrelevant(axis + 1, level))
-    return tuple(entries)
-
-
-def _relevance_from_binary(
-    binary: np.ndarray, n_components: int, max_state: int
-) -> tuple[RelevanceEntry, ...]:
-    """Relevance of a tree at every level from its binary image.
-
-    A component is relevant at level j exactly when it is relevant in the
-    binary tree. The least witness at level j is ``min(j+1, max_state)``
-    times the least binary context: mapping every context entry to that
-    scale if it reaches it and to 0 otherwise keeps a witness a witness
-    and never raises it.
-    """
-    entries: list[RelevanceEntry] = []
-    # binary levels 0 and 1 ask for the same context; take level 1's
-    for base in _relevance_from_table(binary, n_components, 1)[1::2]:
+                contexts.append(None)
         for level in range(max_state + 1):
-            if base.passed:
-                scale = min(level + 1, max_state)
-                witness = tuple(scale * v for v in base.witness)
-                entries.append(
-                    RelevanceEntry(base.component, level, True, witness, None)
-                )
-            else:
-                entries.append(_irrelevant(base.component, level))
+            context = contexts[min(level, top)]
+            if context is None:
+                entries.append(_irrelevant(axis + 1, level))
+                continue
+            scale = min(level + 1, max_state) if top == 1 else 1
+            witness = tuple(scale * v for v in context)
+            entries.append(RelevanceEntry(axis + 1, level, True, witness, None))
     return tuple(entries)
 
 
@@ -360,19 +344,12 @@ def coherence_report(
 ) -> CoherenceReport:
     """Run all three coherence checks over one shared level table: the
     binary image for expression trees, the full space for callables."""
-    if isinstance(structure, StructureExpr):
-        binary = _binary_image(structure, n_components, max_state, limit)
-        monotonicity = MonotonicityResult(True)
-        relevance = _relevance_from_binary(binary, n_components, max_state)
-    else:
-        flat = level_table(structure, n_components, max_state, limit)
-        monotonicity = _monotonicity_from_table(flat, n_components, max_state)
-        relevance = _relevance_from_table(flat, n_components, max_state)
+    table = _level_grid(structure, n_components, max_state, limit)
     return CoherenceReport(
         n_components,
         max_state,
-        monotonicity,
-        relevance,
+        _monotonicity_from_table(table),
+        _relevance_from_table(table, max_state),
         check_boundary(structure, n_components, max_state),
     )
 
@@ -432,7 +409,9 @@ def is_upper_critical(
     limit: int | None = None,
 ) -> bool:
     """True iff x connects to ``level`` and every strictly lower vector
-    falls below it. Checked by brute force over the down-set of x."""
+    falls below it. A tree is monotone, so only the covering predecessors
+    of x (one entry lowered by one) need checking; a callable is checked
+    by brute force over the down-set of x."""
     vec = as_vector(x)
     if not StateSpace(max_state).contains(vec):
         raise LevelOutOfRangeError(f"vector {vec} outside the state space")
@@ -443,12 +422,11 @@ def is_upper_critical(
     fn = as_level_function(structure, len(vec))
     if int(fn(vec)) != level:
         return False
-    for below in itertools.product(*(range(v + 1) for v in vec)):
-        if below == vec:
-            continue
-        if int(fn(below)) >= level:
-            return False
-    return True
+    if isinstance(structure, StructureExpr):
+        lower = (update_at(vec, i, v - 1) for i, v in enumerate(vec) if v)
+    else:
+        lower = itertools.product(*(range(v + 1) for v in vec))
+    return all(int(fn(below)) < level for below in lower if below != vec)
 
 
 def enumerate_ucv(
@@ -473,39 +451,36 @@ def enumerate_ucv(
     the same order, and the zero vector is the only one to level 0.
     """
     _check_level(level, max_state)
-    if isinstance(structure, StructureExpr):
-        binary = _binary_image(structure, n_components, max_state, limit)
-        # binary level 0 yields the zero vector, which scales to itself
-        members = tuple(
-            tuple(level * v for v in vec)
-            for vec in _ucv_from_table(binary, n_components, 1, min(level, 1))
-        )
-    else:
-        flat = level_table(structure, n_components, max_state, limit)
-        members = _ucv_from_table(flat, n_components, max_state, level)
+    table = _level_grid(structure, n_components, max_state, limit)
+    members = _ucv_from_table(table, level)
     _assert_incomparable(members, level)
     return UCVSet(level, members)
 
 
-def _ucv_from_table(
-    flat: np.ndarray, n_components: int, max_state: int, level: int
-) -> tuple[StateVector, ...]:
-    reaches = flat >= level
-    for view in _axis_views(reaches, n_components, max_state):
-        for i in range(1, max_state + 1):
-            np.logical_or(view[:, i], view[:, i - 1], out=view[:, i])
+def _ucv_from_table(table: np.ndarray, level: int) -> tuple[StateVector, ...]:
+    """Upper critical vectors to ``level``, in lexicographic order. A
+    table of radix 2 (a tree's binary image, or a full table at
+    ``max_state`` 1) is searched at ``min(level, 1)`` and its vectors are
+    scaled by ``level``; at level 0 the only candidate is the zero vector,
+    which scales to itself."""
+    top = table.shape[0] - 1
+    target = min(level, top)
+    reaches = table >= target
+    for axis in range(reaches.ndim):
+        view = np.moveaxis(reaches, axis, 0)
+        for i in range(1, top + 1):
+            np.logical_or(view[i, ...], view[i - 1], out=view[i, ...])
     covered = np.zeros_like(reaches)
-    for below, view in zip(
-        _axis_views(reaches, n_components, max_state),
-        _axis_views(covered, n_components, max_state),
-    ):
-        np.logical_or(view[:, 1:], below[:, :-1], out=view[:, 1:])
+    for axis in range(reaches.ndim):
+        below = np.moveaxis(reaches, axis, 0)
+        np.moveaxis(covered, axis, 0)[1:] |= below[:-1]
     del reaches
-    mask = flat == level
+    mask = table == target
     mask &= ~covered
-    return tuple(
-        digits_of(int(i), n_components, max_state) for i in np.flatnonzero(mask)
-    )
+    hits = np.argwhere(mask)
+    if top == 1:
+        hits *= level
+    return tuple(map(tuple, hits.tolist()))
 
 
 def _assert_incomparable(members: tuple[StateVector, ...], level: int) -> None:

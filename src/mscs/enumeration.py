@@ -1,9 +1,9 @@
 """Lexicographic enumeration of finite state spaces.
 
 Vectors of ``{0..max_state}^n`` are indexed 0..size-1 in lexicographic
-order with component 1 as the most significant digit, so flat index k and
-the mixed-radix digits of k are interchangeable, and the flat index is the
-C-order index of the n-dimensional array with one axis per component. All
+order with component 1 as the most significant digit, so the flat index
+is the C-order index of the n-dimensional array with one axis per
+component (``np.unravel_index`` recovers a vector from it). All
 consumers iterate in this one fixed order, which keeps counterexamples and
 accumulated sums deterministic.
 
@@ -15,12 +15,13 @@ which exact sums are accumulated.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import StateSpace, StateVector
+from .core import StateSpace
 from .errors import ExplosionLimitError, InvalidLimitError, LevelOutOfRangeError
 from .structure import StructureExpr, eval_expr_grid
 
@@ -95,21 +96,13 @@ def _ensure_within_limit(what: str, size: int | str, limit: int | None) -> int:
     )
 
 
-def digits_of(index: int, n_components: int, max_state: int) -> StateVector:
-    """Mixed-radix digits of a flat index (component 1 most significant)."""
-    radix = max_state + 1
-    out = [0] * n_components
-    for col in range(n_components - 1, -1, -1):
-        index, out[col] = divmod(index, radix)
-    return tuple(out)
-
-
 def iter_vector_chunks(
     n_components: int, max_state: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(first_flat_index, digits_matrix)`` blocks of ``2**16``
     vectors in lexicographic order. Each matrix row holds one state
-    vector."""
+    vector. Nothing in the package calls it; ``perfbench`` times it as its
+    digit-enumeration probe."""
     total = StateSpace(max_state).size(n_components)
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
@@ -177,14 +170,12 @@ def level_table(
 
     Expression trees are evaluated by broadcasting over the space (see
     :func:`eval_expr_grid`) into a uint8 table (levels never exceed the
-    255 state ceiling); arbitrary callables go through a plain Python loop
-    and an int64 table. The limit is checked before anything is allocated.
+    255 state ceiling); arbitrary callables are called once per vector,
+    in that order, straight into an int64 table. The limit is checked
+    before anything is allocated.
     """
     size = ensure_enumerable(n_components, max_state, limit)
     if isinstance(structure, StructureExpr):
         return eval_expr_grid(structure, n_components, max_state).reshape(-1)
-    table = np.empty(size, dtype=np.int64)
-    for lo, digits in iter_vector_chunks(n_components, max_state):
-        rows = digits.tolist()
-        table[lo : lo + len(rows)] = [structure(tuple(r)) for r in rows]
-    return table
+    vectors = itertools.product(range(max_state + 1), repeat=n_components)
+    return np.fromiter(map(structure, vectors), np.int64, count=size)

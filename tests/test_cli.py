@@ -238,6 +238,20 @@ def test_dist_rejects_bad_levels_pmfs_and_seeds(capsys, extra):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["exact", "closed"])
+def test_dist_checks_level_before_any_method_runs(capsys, method):
+    # --limit 1 refuses the enumeration, so only a level check that comes
+    # first can name the level
+    code, out, err = invoke(
+        capsys, "dist", "--method", method,
+        "--structure", "series(c1, c2, c3)",
+        "--pmf", "0.5,0.5", "--pmf", "0.5,0.5", "--pmf", "0.5,0.5",
+        "--level", "9", "--limit", "1",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: level 9 outside 0..1\n"
+
+
 def test_pipeline_sweep_rejects_negative_seed(capsys):
     code, out, err = invoke(
         capsys, "pipeline", "sweep", "--spec", ABOVE, "--trials", "10",

@@ -536,3 +536,42 @@ def test_threshold_route_raises_what_enumeration_raised(
     assert _error_of(lambda: ucv(expr)) == expected
     if n_delta != -1 or limit == "over" or not 0 <= level <= max_state:
         assert _error_of(lambda: ucv(fn)) == expected
+
+
+def test_is_upper_critical_tree_route_matches_down_set_loop():
+    # a tree checks only the covering predecessors of x; the same tree
+    # behind a callable walks the whole down-set, the oracle here
+    rnd = random.Random(8191)
+    repeated = wider = critical = 0
+    for case in range(150):
+        expr = random_expr(rnd, 4, rnd.randint(1, 4))
+        n = arity(expr) + case % 3
+        max_state = rnd.randint(1, 3)
+        leaves = _leaves(expr)
+        repeated += len(leaves) > len(set(leaves))
+        wider += n > arity(expr)
+        fn = lambda x, e=expr: oracle_eval(e, x)  # noqa: E731
+        level = rnd.randint(0, max_state)
+        members = enumerate_ucv(expr, n, max_state, level).vectors
+        vectors = [tuple(rnd.randint(0, max_state) for _ in range(n))]
+        if members:
+            member = rnd.choice(members)
+            i = rnd.randrange(n)
+            raised = update_at(member, i, min(member[i] + 1, max_state))
+            vectors += [member, raised]
+        for x in vectors:
+            want = is_upper_critical(fn, x, level, max_state)
+            assert is_upper_critical(expr, x, level, max_state) == want
+            critical += want
+        # the containment, level and down-set checks come first, in order
+        x = vectors[-1]
+        size = math.prod(v + 1 for v in x)
+        for args in (
+            (update_at(x, 0, max_state + 1), level, max_state, None),
+            (x, max_state + 1 + case % 2, max_state, size - 1),
+            (x, level, max_state, size - 1),
+        ):
+            expected = _error_of(lambda: is_upper_critical(fn, *args))
+            assert expected is not None
+            assert _error_of(lambda: is_upper_critical(expr, *args)) == expected
+    assert repeated >= 50 and wider >= 50 and critical >= 100

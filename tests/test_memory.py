@@ -10,6 +10,13 @@ full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 28 bytes
 trial: its columns take 24, and it peaks at 24.3 since the performance
 column is computed in place; full-size temporaries peaked at 32.
 
+A callable is called once per vector into an int64 table (8 bytes per
+vector), so its passes must stay within 20 bytes per vector:
+``coherence_report`` peaks at 17.0 (the table, a copy of it for the
+monotonicity pass and one boolean byte) and ``enumerate_ucv`` at 12.0
+(the table and a few boolean bytes). Filling the table through digit
+chunks and one Python list per chunk peaked at 61.7 for both.
+
 A tree is monotone by construction, so ``check_monotonicity`` on one runs
 the guard and the arity check and builds no table: on a 20-component
 series it must peak below 64 KiB, where the binary image alone is 1 MiB.
@@ -40,7 +47,7 @@ from mscs.cli import _write_sweep_json
 from mscs.coherence import check_monotonicity, coherence_report, enumerate_ucv
 from mscs.pipeline import export_results, load_case_study, sweep_state1
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
-from mscs.structure import component, parse_expr, series
+from mscs.structure import as_level_function, component, parse_expr, series
 
 N, MAX_STATE = 8, 4
 VECTORS = (MAX_STATE + 1) ** N
@@ -57,6 +64,13 @@ PASSES = {
 }
 
 TREE_PASSES = ("coherence_report", "enumerate_ucv")
+
+CALLABLE = as_level_function(EXPR, N)
+CALLABLE_PASSES = {
+    "coherence_report": lambda: coherence_report(CALLABLE, N, MAX_STATE),
+    "enumerate_ucv": lambda: enumerate_ucv(CALLABLE, N, MAX_STATE, 2),
+}
+CALLABLE_BYTES_PER_VECTOR = 20
 
 MONOTONICITY_PEAK_BYTES = 64 * 1024
 
@@ -93,6 +107,13 @@ def test_tree_coherence_peak_bytes_per_vector(name):
     peak = peak_bytes(PASSES[name])
     per_vector = peak / VECTORS
     assert per_vector <= TREE_BYTES_PER_VECTOR, f"{per_vector:.3f} B/vector"
+
+
+@pytest.mark.parametrize("name", sorted(CALLABLE_PASSES))
+def test_callable_pass_peak_bytes_per_vector(name):
+    peak = peak_bytes(CALLABLE_PASSES[name])
+    per_vector = peak / VECTORS
+    assert per_vector <= CALLABLE_BYTES_PER_VECTOR, f"{per_vector:.1f} B/vector"
 
 
 def test_tree_monotonicity_builds_no_table():
