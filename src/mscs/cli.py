@@ -2,8 +2,8 @@
 
 One subcommand per analysis: ``coherence``, ``eval``, ``ucv``, ``dist``,
 ``bounds``, ``dominance``, ``pipeline analyze``, ``pipeline sweep``. Exit
-codes: 0 success or property holds, 1 a checked property failed (a
-counterexample was found), 2 usage or input error. Given fixed seeds,
+codes: 0 success or property holds, 1 a ``coherence`` or ``dominance``
+verdict failed, 2 usage or input error. Given fixed seeds,
 identical invocations print byte-identical output; ``--json`` emits the
 documents described by the schemas under ``docs/schemas``.
 """
@@ -21,7 +21,7 @@ from . import __version__
 from .coherence import coherence_report, enumerate_ucv
 from .core import _check_level, as_vector
 from .enumeration import LIMIT_ENV_VAR, ensure_enumerable, resolve_limit
-from .errors import MscsError, PropertyFailureError
+from .errors import MscsError
 from .pipeline import (
     SweepResult,
     _sweep_row_blocks,
@@ -167,6 +167,10 @@ def _cmd_dist(args) -> int:
     if args.method == "mc":
         if args.level is None:
             raise UsageError("--method mc requires --level")
+        if args.out:
+            raise UsageError(
+                "--method mc estimates one level; --out needs a distribution"
+            )
         est = monte_carlo_cdf(expr, dists, args.level, args.samples, args.seed)
         if args.json:
             _emit_json(
@@ -465,13 +469,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
-    except PropertyFailureError as err:
-        print(f"property failure: {err}", file=sys.stderr)
-        return 1
-    except MscsError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (MscsError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError as err:

@@ -48,7 +48,6 @@ from .enumeration import (
 from .errors import (
     LevelOutOfRangeError,
     PreconditionViolatedError,
-    UCVConsistencyError,
 )
 from .structure import (
     Kind,
@@ -443,8 +442,9 @@ def enumerate_ucv(
     reaches ``level``; a vector is upper critical when it sits at
     ``level`` and none of its covering predecessors (one per axis with a
     positive digit) is marked. Everything runs on boolean tables of one
-    byte per vector. Pairwise incomparability of the result is asserted
-    afterwards as a self-check on the enumeration.
+    byte per vector. The result is an antichain for any table: if x < y
+    both sit at ``level``, the predecessor of y along an axis where y
+    exceeds x lies above x, is marked, and so y is not reported.
 
     Expression trees run this pass on their binary image: for level j >= 1
     the upper critical vectors are j times the binary ones to level 1, in
@@ -452,9 +452,7 @@ def enumerate_ucv(
     """
     _check_level(level, max_state)
     table = _level_grid(structure, n_components, max_state, limit)
-    members = _ucv_from_table(table, level)
-    _assert_incomparable(members, level)
-    return UCVSet(level, members)
+    return UCVSet(level, _ucv_from_table(table, level))
 
 
 def _ucv_from_table(table: np.ndarray, level: int) -> tuple[StateVector, ...]:
@@ -481,22 +479,6 @@ def _ucv_from_table(table: np.ndarray, level: int) -> tuple[StateVector, ...]:
     if top == 1:
         hits *= level
     return tuple(map(tuple, hits.tolist()))
-
-
-def _assert_incomparable(members: tuple[StateVector, ...], level: int) -> None:
-    if len(members) < 2:
-        return
-    arr = np.asarray(members, dtype=np.int64)
-    for i in range(len(members)):
-        above = (arr >= arr[i]).all(axis=1)
-        above[i] = False
-        if above.any():
-            other = int(np.flatnonzero(above)[0])
-            raise UCVConsistencyError(
-                f"upper critical set for level {level} contains comparable "
-                f"members {members[i]} <= {members[other]}; the structure "
-                "function is not coherent"
-            )
 
 
 def level_lower_bound_check(

@@ -66,13 +66,3 @@ class PreconditionViolatedError(MscsError, ValueError):
 class SpecFormatError(MscsError, ValueError):
     """A pipeline specification document is malformed."""
 
-
-class PropertyFailureError(MscsError):
-    """A verified mathematical property failed on concrete inputs.
-
-    Distinct from input/usage errors: the CLI maps this to exit code 1.
-    """
-
-
-class UCVConsistencyError(PropertyFailureError):
-    """An enumerated upper-critical set contains comparable members."""

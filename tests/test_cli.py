@@ -791,6 +791,47 @@ def test_max_state_ceiling_binds_only_the_enumerator(capsys):
         assert err == "error: max_state must be in 1..255, got 300\n"
 
 
+def test_dist_mc_refuses_out(capsys, tmp_path):
+    # Monte-Carlo gives one estimate, not a distribution to write
+    path = tmp_path / "x.csv"
+    code, out, err = invoke(
+        capsys, "dist", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",
+        "--method", "mc", "--level", "0", "--out", str(path),
+    )
+    assert_one_line_error(code, out, err)
+    assert "--out" in err
+    assert not path.exists()
+
+
+# each refusal's argv, and the spec text written to a file after it
+REFUSALS = {
+    "bad_state": (["eval", "--structure", "c1", "--state", "a"], None),
+    "bad_pmf": (["dist", "--structure", "c1", "--pmf", "x,y"], None),
+    "pmf_and_spec": (["dist", "--structure", "c1", "--pmf", "0.5,0.5", "--spec"], "{}"),
+    "spec_top_level_array": (["dist", "--structure", "c1", "--spec"], "[1, 2]"),
+    "spec_segment_not_object": (
+        ["pipeline", "analyze", "--level", "1", "--spec"],
+        '{"max_state": 1, "segments": [3]}',
+    ),
+    "dominance_max_state_mismatch": (
+        [
+            "dominance", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",
+            "--pmf-prime", "0.2,0.3,0.5",
+        ],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, spec", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusals_exit_2_with_one_line(capsys, tmp_path, argv, spec):
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        argv = [*argv, str(path)]
+    assert_one_line_error(*invoke(capsys, *argv))
+
+
 PMF = ["--pmf", "0.2,0.3,0.5"]
 NESTING_COMMANDS = {
     "eval": ["eval", "--state", "1,2"],

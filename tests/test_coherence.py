@@ -13,7 +13,6 @@ from conftest import (
     random_expr,
 )
 from mscs.coherence import (
-    _assert_incomparable,
     check_boundary,
     check_monotonicity,
     check_relevance,
@@ -33,7 +32,6 @@ from mscs.errors import (
     InvalidLimitError,
     LevelOutOfRangeError,
     PreconditionViolatedError,
-    UCVConsistencyError,
 )
 from mscs.structure import (
     Component,
@@ -287,18 +285,33 @@ def test_enumerate_ucv_examples():
 
 
 def test_ucv_members_pairwise_incomparable():
-    for expr, n in COHERENT:
-        for level in range(3):
-            found = enumerate_ucv(expr, n, 2, level)
+    # an antichain for every table, monotone or not
+    rnd = random.Random(16180)
+    cases = [(expr, n, 2) for expr, n in COHERENT]
+    for _ in range(30):
+        n = rnd.randint(1, 4)
+        max_state = rnd.randint(1, 3)
+        table = {
+            vec: rnd.randint(0, max_state)
+            for vec in oracle_space(n, max_state)
+        }
+        cases.append((table.__getitem__, n, max_state))
+    for structure, n, max_state in cases:
+        for level in range(max_state + 1):
+            found = enumerate_ucv(structure, n, max_state, level)
             for a in found.vectors:
                 for b in found.vectors:
                     if a != b:
                         assert not leq(a, b)
 
 
-def test_incomparability_assertion_fires_on_bad_set():
-    with pytest.raises(UCVConsistencyError):
-        _assert_incomparable(((0, 1), (1, 1)), 1)
+def test_enumerate_ucv_large_output():
+    # C(20, 10) members; a quadratic pass over them would take minutes
+    comps = ", ".join(f"c{i}" for i in range(1, 21))
+    found = enumerate_ucv(parse_expr(f"koon(10; {comps})"), 20, 1, 1)
+    assert len(found.vectors) == math.comb(20, 10) == 184_756
+    assert list(found.vectors) == sorted(found.vectors)
+    assert all(sum(v) == 10 and set(v) <= {0, 1} for v in found.vectors)
 
 
 def test_level_lower_bound_check():
@@ -393,10 +406,7 @@ def _leaves(expr):
 
 
 def _ucv_outcome(structure, n, max_state, level):
-    try:
-        return enumerate_ucv(structure, n, max_state, level)
-    except UCVConsistencyError as err:
-        return ("UCVConsistencyError", str(err))
+    return enumerate_ucv(structure, n, max_state, level)
 
 
 def test_expression_path_matches_callable_path_on_random_trees():
