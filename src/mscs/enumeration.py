@@ -7,10 +7,13 @@ component (``np.unravel_index`` recovers a vector from it). All
 consumers iterate in this one fixed order, which keeps counterexamples and
 accumulated sums deterministic.
 
-Level tables of expression trees are built by broadcasting over that
-array (one uint8 byte per vector); per-vector weights are built block by
-block and handed out in fixed chunks of ``2**16`` vectors, the unit in
-which exact sums are accumulated.
+Exact sums are accumulated in fixed chunks of ``2**16`` vectors, and
+both of their inputs come in those chunks, cut by one helper: per-vector
+weights, built block by block, and the levels of an expression tree,
+built by broadcasting over slabs of at most ``2**20`` vectors (one uint8
+byte per vector), so their memory does not grow with the space. A full
+level table (:func:`level_table`) is built only for callables and on
+request.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ import numpy as np
 
 from .core import StateSpace
 from .errors import ExplosionLimitError, InvalidLimitError, LevelOutOfRangeError
-from .structure import StructureExpr, eval_expr_grid
+from .structure import (
+    Component,
+    KOutOfN,
+    StructureExpr,
+    _check_covers,
+    _eval_grid,
+    eval_expr_grid,
+)
 
 #: Default ceiling on the number of vectors any exhaustive pass may visit.
 DEFAULT_ENUM_LIMIT = 10**8
@@ -32,6 +42,9 @@ DEFAULT_ENUM_LIMIT = 10**8
 LIMIT_ENV_VAR = "MSCS_LIMIT"
 
 _CHUNK = 1 << 16
+
+# most vectors whose levels iter_level_chunks evaluates at once
+_SLAB = 1 << 20
 
 # largest radix whose weight blocks grow one digit column at a time; above
 # it one np.multiply.outer is faster (measured break-even near radix 8)
@@ -118,6 +131,35 @@ def _digit_matrix(lo: int, hi: int, n_components: int, radix: int) -> np.ndarray
     return digits
 
 
+def _cut_chunks(
+    total: int, block: int, build: Callable[[int, int], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first_flat_index, values)`` for the flat indices
+    0..total-1 in lexicographic order, in chunks of ``2**16`` vectors, cut
+    from blocks of ``block`` consecutive vectors; ``build(first, stop)``
+    returns the flat values of blocks first..stop-1.
+
+    A chunk inside the blocks built last is a view of them. A chunk that
+    starts inside the last block built and runs past it either rebuilds
+    that block, when it is shorter than a chunk (cheaper than a copy), or
+    joins its tail to the head of the next block, which is built once.
+    """
+    values, start = None, 0
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        end = start if values is None else start + values.size
+        if hi > end:
+            stop = (hi - 1) // block + 1
+            if lo < end and block >= _CHUNK:
+                tail = values[lo - start :]
+                values, start = build(end // block, stop), end
+                yield lo, np.concatenate((tail, values[: hi - end]))
+                continue
+            first = lo // block
+            values, start = build(first, stop), first * block
+        yield lo, values[lo - start : hi - start]
+
+
 def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(first_flat_index, weights)`` in lexicographic order, in
     chunks of ``2**16`` vectors, where the weight of vector x is
@@ -139,12 +181,10 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     trailing = 0
     while trailing < n_components and radix ** (trailing + 2) <= _CHUNK:
         trailing += 1
-    block = radix**trailing
     leading = n_components - trailing
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        first = lo // block
-        digits = _digit_matrix(first, (hi - 1) // block + 1, leading, radix)
+
+    def build(first: int, stop: int) -> np.ndarray:
+        digits = _digit_matrix(first, stop, leading, radix)
         weights = np.ones(digits.shape[0])
         for col in range(leading):
             weights *= pmf_matrix[col, digits[:, col]]
@@ -156,8 +196,73 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
                 weights = grown.reshape(-1)
             else:
                 weights = np.multiply.outer(weights, pmf).reshape(-1)
-        offset = first * block
-        yield lo, weights[lo - offset : hi - offset]
+        return weights
+
+    return _cut_chunks(total, radix**trailing, build)
+
+
+def iter_level_chunks(
+    expr: StructureExpr, n_components: int, max_state: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(first_flat_index, levels)`` of an expression tree over
+    ``{0..max_state}^n_components`` in lexicographic order, in the chunks
+    of :func:`iter_weight_chunks`: uint8 system levels, one per vector.
+
+    Levels are evaluated one slab at a time: the trailing components span
+    at most ``2**20`` vectors, one axis each as in :func:`eval_expr_grid`,
+    and the leading ones are fixed to the slab's digits. Every largest
+    subtree that reads trailing components only is evaluated once per
+    call, not once per slab. Memory stays a small multiple of a slab
+    whatever the space size.
+    """
+    _check_covers(expr, n_components)
+    radix = max_state + 1
+    trailing = 0
+    while trailing < n_components and radix ** (trailing + 1) <= _SLAB:
+        trailing += 1
+    leading = n_components - trailing
+    levels = np.arange(radix, dtype=np.uint8)
+    axes = [levels[0]] * leading + [
+        levels.reshape((-1,) + (1,) * (n_components - 1 - i))
+        for i in range(leading, n_components)
+    ]
+    tree = _hoist_trailing(expr, leading, axes)
+    shape = (radix,) * trailing
+
+    def build(first: int, stop: int) -> np.ndarray:
+        slabs = []
+        for digits in _digit_matrix(first, stop, leading, radix):
+            axes[:leading] = levels[digits]
+            slab = _eval_grid(tree, axes)
+            # a copy only when the slab is broadcast from a smaller shape
+            slabs.append(np.broadcast_to(slab, shape).reshape(-1))
+        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
+
+    total = StateSpace(max_state).size(n_components)
+    return _cut_chunks(total, radix**trailing, build)
+
+
+def _hoist_trailing(
+    expr: StructureExpr, leading: int, axes: list
+) -> StructureExpr:
+    """``expr`` with every largest operator subtree that reads no component
+    up to ``leading`` evaluated once on ``axes``, appended to them, and
+    replaced by a component that reads it."""
+    if isinstance(expr, Component):
+        return expr
+    if _lowest_index(expr) > leading:
+        axes.append(_eval_grid(expr, axes))
+        return Component(len(axes))
+    children = tuple(_hoist_trailing(c, leading, axes) for c in expr.children)
+    if isinstance(expr, KOutOfN):
+        return KOutOfN(expr.k, children)
+    return type(expr)(children)
+
+
+def _lowest_index(expr: StructureExpr) -> int:
+    if isinstance(expr, Component):
+        return expr.index
+    return min(_lowest_index(c) for c in expr.children)
 
 
 def level_table(
@@ -172,7 +277,10 @@ def level_table(
     :func:`eval_expr_grid`) into a uint8 table (levels never exceed the
     255 state ceiling); arbitrary callables are called once per vector,
     in that order, straight into an int64 table. The limit is checked
-    before anything is allocated.
+    before anything is allocated. The table costs a byte per vector or
+    more, so the exact distribution streams a tree's levels through
+    :func:`iter_level_chunks` instead; coherence passes use it for
+    callables.
     """
     size = ensure_enumerable(n_components, max_state, limit)
     if isinstance(structure, StructureExpr):

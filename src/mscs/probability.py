@@ -3,14 +3,15 @@
 Component states are modeled by discrete PMFs over the shared level set.
 Mutual independence of the components is an input assumption throughout;
 it cannot be checked from the marginals and is simply trusted. The exact
-enumerator sums the product weights of every state vector; the closed
-forms and bounds are one bottom-up recursion on the component distribution
-functions; the Monte-Carlo estimator is a seeded, bit-reproducible
-cross-check (PCG64 stream, draws consumed in trial-major order). It never
-builds a state vector: since series, parallel and k-out-of-n commute with
-thresholding, a system exceeds level j exactly when its binary image is 1
-on the events "component i exceeds j", and each such event is one draw
-compared with one CDF value.
+enumerator sums the product weights of every state vector chunk by chunk,
+in memory that does not grow with the space; the closed forms and bounds
+are one bottom-up recursion on the component distribution functions; the
+Monte-Carlo estimator is a seeded, bit-reproducible cross-check (PCG64
+stream, draws consumed in trial-major order, one reused buffer of draws).
+It never builds a state vector: since series, parallel and k-out-of-n
+commute with thresholding, a system exceeds level j exactly when its
+binary image is 1 on the events "component i exceeds j", and each such
+event is one draw compared with one CDF value.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import _check_level, _check_max_state
-from .enumeration import iter_weight_chunks, level_table
+from .enumeration import (
+    ensure_enumerable,
+    iter_level_chunks,
+    iter_weight_chunks,
+)
 from .errors import (
     HypothesisViolatedError,
     InvalidPMFError,
@@ -210,20 +215,25 @@ def exact_system_distribution(
     """Exact system distribution by full enumeration of the state space.
 
     Every vector's probability is the product of its component PMF entries
-    (independence), multiplied left to right. Levels come from the
-    broadcast level table; weights are summed per level with
-    ``np.bincount`` chunk by chunk (``2**16`` vectors each) in one fixed
-    lexicographic order, so the accumulated sums are deterministic. No
-    full-space float array is allocated.
+    (independence), multiplied left to right. Weights and levels come in
+    the same chunks of ``2**16`` vectors (:func:`iter_weight_chunks`,
+    :func:`iter_level_chunks`) and are summed per level with
+    ``np.bincount`` in one fixed lexicographic order, so the accumulated
+    sums are deterministic. No full-space array is allocated: memory
+    stays at a slab of levels and a chunk of weights (about 2 MB at
+    5^10 vectors).
     """
     family = _system_family(expr, dists)
-    max_state = family[0].max_state
-    levels = level_table(expr, len(family), max_state, limit)
+    n_components, max_state = len(family), family[0].max_state
+    ensure_enumerable(n_components, max_state, limit)
     pmf_matrix = np.asarray([d.pmf for d in family])  # n x (max_state+1)
     acc = np.zeros(max_state + 1)
-    for lo, weights in iter_weight_chunks(pmf_matrix):
-        chunk = levels[lo : lo + len(weights)]
-        acc += np.bincount(chunk, weights=weights, minlength=max_state + 1)
+    chunks = zip(
+        iter_level_chunks(expr, n_components, max_state),
+        iter_weight_chunks(pmf_matrix),
+    )
+    for (_, levels), (_, weights) in chunks:
+        acc += np.bincount(levels, weights=weights, minlength=max_state + 1)
     return SystemDistribution.from_pmf(acc.tolist())
 
 
@@ -404,9 +414,12 @@ def monte_carlo_cdf(
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     chunk = 1 << 16
+    # one buffer for every chunk: filling it in place draws the same
+    # stream as a fresh array per chunk, without two chunks alive at once
+    draws = np.empty((min(chunk, samples), n))
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
-        uniforms = rng.random((count, n))
+        uniforms = rng.random(out=draws[:count])
         # one contiguous 0/1 row per component: the tree on them is its
         # binary image, 1 where the system is above the level
         events = np.ascontiguousarray((uniforms >= above).T).view(np.uint8)

@@ -19,6 +19,7 @@ component); koon takes at least one. Operators nest at most
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -228,14 +229,22 @@ def _eval_grid(expr: StructureExpr, axes: list[np.ndarray]) -> np.ndarray:
         return axes[expr.index - 1]
     if isinstance(expr, (Series, Parallel)):
         op = np.minimum if isinstance(expr, Series) else np.maximum
-        first, second, *rest = expr.children
-        out = op(_eval_grid(first, axes), _eval_grid(second, axes))
-        for child in rest:
-            value = _eval_grid(child, axes)
-            if np.broadcast_shapes(out.shape, value.shape) == out.shape:
+        # smallest first, so the running result grows as late as it can;
+        # among equal sizes the one laid along the fewest axes goes first,
+        # which keeps the running result contiguous over the inner axes
+        out, *rest = sorted(
+            (_eval_grid(c, axes) for c in expr.children),
+            key=lambda value: (value.size, value.ndim),
+        )
+        owned = False  # whether out is a temporary this node may overwrite
+        for value in rest:
+            shape = np.broadcast_shapes(out.shape, value.shape)
+            value = _lay_out_inner(value, shape)
+            if owned and out.shape == shape:
                 op(out, value, out=out)
             else:
-                out = op(out, value)
+                out = op(_lay_out_inner(out, shape), value)
+                owned = isinstance(out, np.ndarray)
         return out
     if isinstance(expr, KOutOfN):
         values = [_eval_grid(c, axes) for c in expr.children]
@@ -243,6 +252,35 @@ def _eval_grid(expr: StructureExpr, axes: list[np.ndarray]) -> np.ndarray:
         pick = stacked.shape[-1] - expr.k
         return np.partition(stacked, pick, axis=-1)[..., pick]
     raise TypeError(f"not a structure expression: {expr!r}")
+
+
+#: Entries a ufunc's innermost loop should cover on a large grid.
+_INNER_RUN = 512
+
+
+def _lay_out_inner(value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` laid out contiguously over the innermost axes of
+    ``shape``, the shape it is about to be combined into, that hold at
+    least ``_INNER_RUN`` entries, when it is not already.
+
+    numpy's vectorized minimum and maximum loops need both operands
+    contiguous along the inner loop. A child that is constant along the
+    last axes, or that varies along the last axis but not along the next
+    (component n against a grid), gets short rows or a scalar loop
+    instead: on a ``(5,) * 10`` grid a contiguous pair takes 1.2 ms, rows
+    of 5 against a constant 12 ms. The copy holds at most as many entries
+    as the result. Grids of fewer than eight such runs are left alone.
+    """
+    if math.prod(shape) < 8 * _INNER_RUN:
+        return value
+    split, run = len(shape), 1
+    while split > 0 and run < _INNER_RUN:
+        split -= 1
+        run *= shape[split]
+    padded = (1,) * (len(shape) - value.ndim) + value.shape
+    if padded[split:] == shape[split:]:
+        return value
+    return np.broadcast_to(value, padded[:split] + shape[split:]).copy()
 
 
 def as_level_function(

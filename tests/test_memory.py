@@ -26,11 +26,20 @@ the guard and the arity check and builds no table: on a 20-component
 series it must peak below 64 KiB, where the binary image alone is 1 MiB.
 It peaks at about 1 KB.
 
+The exact distribution streams its levels in the chunks of its weights,
+cut from slabs of at most 2^20 vectors, so its peak does not grow with
+the space: at ``{0..4}^10`` (9,765,625 vectors) it must stay within 4 MB,
+and it peaks at about 2.1 MB. Building the full level table first peaked
+at 11.7 MB there, and at about 4.5 bytes per vector over ``{0..4}^8``.
+
 Monte-Carlo must stay within 20 bytes per draw (one uniform per component
 per trial) over one 65,536-trial chunk of the benchmark's 10-component
 read-once tree: the draws take 8, and the tree is evaluated on one byte
 per draw, which peaks at 10.0. Building int64 state vectors and
-evaluating the multistate tree on them peaked at 21.6.
+evaluating the multistate tree on them peaked at 21.6. Three chunks stay
+within the same 20 bytes per draw of one chunk, at 11.1: every chunk is
+drawn into one buffer. A fresh array per chunk kept two chunks' draws
+alive at once and peaked at 17.1.
 
 The CSV export and the ``--json`` document of a 1e5-trial sweep must
 each peak at no more than 12 MB. Both render a fixed block of rows at a
@@ -84,6 +93,8 @@ MC_TREE = parse_expr(
 MC_SAMPLES = 1 << 16
 MC_BYTES_PER_DRAW = 20
 
+EXACT_PEAK_BYTES = 4 * 10**6
+
 SWEEP_TRIALS = 10**5
 SWEEP_BYTES_PER_TRIAL = 28
 SWEEP_EXPORT_PEAK_BYTES = 12 * 10**6
@@ -131,6 +142,24 @@ def test_monte_carlo_peak_bytes_per_draw():
     peak = peak_bytes(lambda: monte_carlo_cdf(MC_TREE, dists, 2, MC_SAMPLES, 7))
     per_draw = peak / (MC_SAMPLES * len(dists))
     assert per_draw <= MC_BYTES_PER_DRAW, f"{per_draw:.1f} B/draw"
+
+
+def test_monte_carlo_peak_flat_in_chunks():
+    # three chunks, bounded per draw of one chunk: the draws go into one
+    # buffer, so no chunk's draws are alive next to the previous ones
+    dists = load_case_study("default").distributions
+    samples = 3 * MC_SAMPLES
+    peak = peak_bytes(lambda: monte_carlo_cdf(MC_TREE, dists, 2, samples, 7))
+    per_draw = peak / (MC_SAMPLES * len(dists))
+    assert per_draw <= MC_BYTES_PER_DRAW, f"{per_draw:.1f} B/draw"
+
+
+def test_exact_peak_flat_in_space_size():
+    n, max_state = 10, 4
+    rng = np.random.default_rng(10)
+    dists = [random_pmf(rng, max_state) for _ in range(n)]
+    peak = peak_bytes(lambda: exact_system_distribution(MC_TREE, dists))
+    assert peak <= EXACT_PEAK_BYTES, f"{peak / 1e6:.1f} MB"
 
 
 def test_sweep_peak_bytes_per_trial():

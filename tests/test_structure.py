@@ -238,6 +238,18 @@ def test_batch_matches_scalar():
         assert got.tolist() == want
 
 
+# grids of 2^12 to 3^8 vectors, large enough that children are laid out
+# contiguously over the inner axes before they are combined
+@pytest.mark.parametrize("n, max_state", [(12, 1), (8, 2), (6, 3)])
+def test_grid_matches_scalar(n, max_state):
+    rnd = random.Random(n * 10 + max_state)
+    for _ in range(6):
+        expr = random_expr(rnd, max_depth=4, max_index=n)
+        grid = eval_expr_grid(expr, n, max_state)
+        space = itertools.product(range(max_state + 1), repeat=n)
+        assert grid.reshape(-1).tolist() == [oracle_eval(expr, x) for x in space]
+
+
 def test_arity_refusals_share_one_message():
     # a vector's length, a matrix's width, a component count and a family's
     # size are refused in the same words, with the verb agreeing
