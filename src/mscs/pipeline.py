@@ -97,63 +97,96 @@ class SweepRow:
     performance: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SweepResult:
-    """A state-1 sweep held as columns: row ``t`` (0-based) is trial
-    ``t + 1`` with draws ``draws[t]`` and value ``performance[t]``.
+    """A state-1 sweep held as its recipe: the seed, the trial count and
+    the product ``prod(1 - h)`` over the held segments' state-1 masses.
 
-    Equality compares the seed and every column bitwise.
+    Row ``t`` (0-based) is trial ``t + 1``. Its draws are the PCG64
+    stream's doubles ``2t`` and ``2t + 1``, clamped to the smallest
+    positive normal, and its value is ``1 - ((1 - p_1_1) * (1 - p_2_1)) *
+    held_product``. Every reader computes rows ``_ROW_BLOCK`` at a time
+    from the seed, so no reader holds a column of every trial. Equal
+    recipes give the same rows bit for bit.
     """
 
-    draws: np.ndarray  # (trials, 2) float64: p_1_1, p_2_1
-    performance: np.ndarray  # (trials,) float64
     seed: int
+    trials: int
+    held_product: float
 
-    @property
-    def trials(self) -> int:
-        return len(self.performance)
+    def _blocks(
+        self, start: int, stop: int
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(first, draws, performance)`` for rows ``start:stop``, at most
+        ``_ROW_BLOCK`` rows at a time from row ``first``: the ``(rows, 2)``
+        draws and the performance column. Both are views of buffers that
+        the next block overwrites."""
+        bit_generator = np.random.PCG64(self.seed)
+        bit_generator.advance(2 * start)  # one 64-bit output per double
+        rng = np.random.Generator(bit_generator)
+        draws = np.empty((min(_ROW_BLOCK, stop - start), 2))
+        performance = np.empty(len(draws))
+        for first in range(start, stop, _ROW_BLOCK):
+            d, p = draws[: stop - first], performance[: stop - first]
+            rng.random(out=d)
+            np.maximum(d, np.finfo(np.float64).tiny, out=d)
+            # 1 - ((1 - d0) * (1 - d1)) * held in place: the operations of
+            # the scalar form, in its order
+            np.subtract(1.0, d[:, 0], out=p)
+            p *= 1.0 - d[:, 1]
+            p *= self.held_product
+            np.subtract(1.0, p, out=p)
+            yield first, d, p
 
     def columns(
         self, start: int = 0, stop: int | None = None
     ) -> tuple[range, list[float], list[float], list[float]]:
         """Trial numbers and the three float columns of rows
-        ``start:stop`` as Python values."""
+        ``start:stop`` as Python values; only those rows are drawn."""
         stop = self.trials if stop is None else min(stop, self.trials)
-        draws = self.draws[start:stop]
-        return (
-            range(start + 1, stop + 1),
-            draws[:, 0].tolist(),
-            draws[:, 1].tolist(),
-            self.performance[start:stop].tolist(),
-        )
+        start = min(start, stop)
+        p_1_1, p_2_1, performance = [], [], []
+        for _, d, p in self._blocks(start, stop):
+            p_1_1 += d[:, 0].tolist()
+            p_2_1 += d[:, 1].tolist()
+            performance += p.tolist()
+        return range(start + 1, stop + 1), p_1_1, p_2_1, performance
+
+    @property
+    def draws(self) -> np.ndarray:
+        """The ``(trials, 2)`` float64 draws p_1_1, p_2_1, built on
+        request from every block."""
+        blocks = self._blocks(0, self.trials)
+        return np.concatenate([d.copy() for _, d, _ in blocks])
+
+    @property
+    def performance(self) -> np.ndarray:
+        """The ``(trials,)`` float64 performance column, built on request
+        from every block."""
+        blocks = self._blocks(0, self.trials)
+        return np.concatenate([p.copy() for _, _, p in blocks])
 
     @cached_property
     def rows(self) -> tuple[SweepRow, ...]:
         return tuple(map(SweepRow, *self.columns()))
 
     def argmax_row(self) -> SweepRow:
-        """The first row of largest performance."""
-        t = int(np.argmax(self.performance))
-        return SweepRow(*(column[0] for column in self.columns(t, t + 1)))
+        """The first row of largest performance, found a block at a time."""
+        best, best_value = 0, -math.inf
+        for first, _, p in self._blocks(0, self.trials):
+            i = int(np.argmax(p))
+            if p[i] > best_value:
+                best, best_value = first + i, p[i]
+        return SweepRow(*(column[0] for column in self.columns(best, best + 1)))
 
     @property
     def corner_supremum(self) -> float:
         """Least upper bound of the swept formula over the open unit
         square: the limit at both draws approaching 1, which is exactly 1.
-        The formula is strictly increasing in both draws, so no sample
-        attains it."""
+        Unless a held segment has state-1 mass 1, the formula is strictly
+        increasing in both draws and no sample attains it; with such a
+        segment the held product is 0 and every sample is exactly 1."""
         return 1.0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return self.seed == other.seed and all(
-            mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
-            for mine, theirs in (
-                (self.draws, other.draws),
-                (self.performance, other.performance),
-            )
-        )
 
 
 def case_study_path(scenario: str = "default") -> Path:
@@ -293,6 +326,9 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
     zeros are clamped to the smallest positive normal) and evaluates the
     state-1 closed form with the remaining segments held at their spec
     values. Identical (spec, trials, seed) reproduce identical rows.
+
+    Only the input is checked here, in O(1): the result is the sweep's
+    recipe, and its rows are drawn a block at a time when they are read.
     """
     if trials < 1:
         raise PreconditionViolatedError("trials must be at least 1")
@@ -307,21 +343,10 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
                 f"segment {seg.name!r} has nonzero complete-failure mass; "
                 "the state-1 closed form does not apply"
             )
-    held = [seg.distribution.pmf[1] for seg in spec.segments[2:]]
-    held_product = math.prod(1.0 - h for h in held)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.random((trials, 2))
-    np.maximum(draws, np.finfo(np.float64).tiny, out=draws)
-    # 1 - ((1 - d0) * (1 - d1)) * held in place, with 1 - d1 formed a
-    # block at a time: the same operations as the scalar form, in its order
-    performance = 1.0 - draws[:, 0]
-    for start in range(0, trials, _ROW_BLOCK):
-        performance[start : start + _ROW_BLOCK] *= (
-            1.0 - draws[start : start + _ROW_BLOCK, 1]
-        )
-    performance *= held_product
-    np.subtract(1.0, performance, out=performance)
-    return SweepResult(draws, performance, seed)
+    held_product = math.prod(
+        1.0 - seg.distribution.pmf[1] for seg in spec.segments[2:]
+    )
+    return SweepResult(seed, trials, held_product)
 
 
 # The row renderer (see _render_rows) builds text as uint32 words of four
@@ -545,15 +570,10 @@ def _sweep_row_blocks(
     """A sweep's rows through ``template``, ``_ROW_BLOCK`` rows at a time,
     which bounds the bytes held at once. ``order`` gives the template's
     floats as columns: 0 is p_1_1, 1 is p_2_1, 2 is P_pipeline_1."""
-    for start in range(0, result.trials, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, result.trials)
-        columns = (
-            result.draws[start:stop, 0],
-            result.draws[start:stop, 1],
-            result.performance[start:stop],
-        )
+    for first, draws, performance in result._blocks(0, result.trials):
+        columns = (draws[:, 0], draws[:, 1], performance)
         values = np.column_stack([columns[c] for c in order])
-        yield _render_rows(template, start + 1, values)
+        yield _render_rows(template, first + 1, values)
 
 
 def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:

@@ -7,8 +7,9 @@ alone would exceed that. Expression trees check coherence and enumerate
 upper critical vectors on their binary image of 2^8 vectors, so those two
 passes must stay within 0.25 bytes per vector of the full space; the
 full-space kernels took 3.0 and 5.0. The state-1 sweep must stay within 28 bytes per
-trial: its columns take 24, and it peaks at 24.3 since the performance
-column is computed in place; full-size temporaries peaked at 32.
+trial. It returns its recipe (seed, trial count, held product) and draws
+nothing, so it peaks at a few hundred bytes in all; holding its columns
+took 24.3 bytes per trial, and full-size temporaries 32.
 
 A callable is called once per vector into an int64 table (8 bytes per
 vector), so its passes must stay within 20 bytes per vector:
@@ -46,7 +47,10 @@ each peak at no more than 12 MB. Both render a fixed block of rows at a
 time, so their peaks do not grow with the trial count: 2.2 and 2.9 MB
 with 4,096-row blocks. Formatting 65,536-row blocks through a tuple of
 Python objects per field peaked at 19.2 MB, and the JSON document built
-as one string through a ``%r`` template at 37.6 MB.
+as one string through a ``%r`` template at 37.6 MB. Each block's rows
+are drawn from the seed into one reused buffer just before they are
+rendered, so a 1e6-trial sweep, drawn and written in one call, must stay
+within 4 MB in either format; holding its columns took about 24 MB.
 """
 
 import os
@@ -98,6 +102,8 @@ EXACT_PEAK_BYTES = 4 * 10**6
 SWEEP_TRIALS = 10**5
 SWEEP_BYTES_PER_TRIAL = 28
 SWEEP_EXPORT_PEAK_BYTES = 12 * 10**6
+STREAMED_SWEEP_TRIALS = 10**6
+STREAMED_SWEEP_PEAK_BYTES = 4 * 10**6
 
 
 def peak_bytes(call):
@@ -184,3 +190,20 @@ def test_sweep_json_peak_bytes():
 
     peak = peak_bytes(write)
     assert peak <= SWEEP_EXPORT_PEAK_BYTES, f"{peak / 1e6:.1f} MB"
+
+
+def _export_csv(spec, trials, path):
+    export_results(sweep_state1(spec, trials, 7), path)
+
+
+def _write_json(spec, trials, path):
+    with open(os.devnull, "w") as sink:
+        _write_sweep_json(sweep_state1(spec, trials, 7), sink)
+
+
+@pytest.mark.parametrize("write", [_export_csv, _write_json], ids=["csv", "json"])
+def test_streamed_sweep_peak_flat_in_trials(write, tmp_path):
+    spec = load_case_study("above_average")
+    path = tmp_path / "sweep.csv"
+    peak = peak_bytes(lambda: write(spec, STREAMED_SWEEP_TRIALS, path))
+    assert peak <= STREAMED_SWEEP_PEAK_BYTES, f"{peak / 1e6:.1f} MB"

@@ -17,6 +17,7 @@ from mscs.errors import (
     SpecFormatError,
 )
 from mscs.pipeline import (
+    _ROW_BLOCK,
     _SWEEP_ROW,
     PipelineSpec,
     Segment,
@@ -398,32 +399,52 @@ def test_sweep_csv_and_stdout_match_per_row_oracle(
 
 
 def test_sweep_columns_rows_and_equality():
-    result = sweep_state1(load_case_study("above_average"), 20, 5)
-    assert result.draws.shape == (20, 2) and result.performance.shape == (20,)
+    above = load_case_study("above_average")
+    trials = 3 * _ROW_BLOCK + 5
+    result = sweep_state1(above, trials, 5)
+    draws, performance = result.draws, result.performance
+    assert draws.shape == (trials, 2) and performance.shape == (trials,)
     assert result.rows == tuple(
         SweepRow(t + 1, float(a), float(b), float(p))
-        for t, ((a, b), p) in enumerate(zip(result.draws, result.performance))
+        for t, ((a, b), p) in enumerate(zip(draws, performance))
     )
-    assert result.columns(18, 99) == (
-        range(19, 21),
-        result.draws[18:, 0].tolist(),
-        result.draws[18:, 1].tolist(),
-        result.performance[18:].tolist(),
+    # a range is drawn from its own start row, across block edges too
+    for start in (0, _ROW_BLOCK - 1, _ROW_BLOCK, 9999, trials - 2):
+        assert result.columns(start, start + 3) == (
+            range(start + 1, min(start + 3, trials) + 1),
+            draws[start : start + 3, 0].tolist(),
+            draws[start : start + 3, 1].tolist(),
+            performance[start : start + 3].tolist(),
+        )
+    assert result.columns() == (
+        range(1, trials + 1),
+        draws[:, 0].tolist(),
+        draws[:, 1].tolist(),
+        performance.tolist(),
     )
-    negative, positive = result.draws.copy(), result.draws.copy()
-    negative[4, 1], positive[4, 1] = -0.0, 0.0  # equal values, other bits
-    assert SweepResult(negative, result.performance, 5) != SweepResult(
-        positive, result.performance, 5
-    )
-    assert result != SweepResult(result.draws, result.performance, 6)
-    assert result != SweepResult(result.draws[:19], result.performance[:19], 5)
+    assert result.argmax_row().trial == int(np.argmax(performance)) + 1
+    # equal recipes are equal sweeps; any field that differs gives other rows
+    assert result == sweep_state1(above, trials, 5)
+    assert result == SweepResult(5, trials, result.held_product)
+    assert result != sweep_state1(above, trials, 6)
+    assert result != sweep_state1(above, trials - 1, 5)
+    assert result != sweep_state1(load_case_study("below_average"), trials, 5)
     assert result != result.rows
 
 
 def test_sweep_argmax_returns_first_of_tied_maxima():
-    draws = np.array([[0.1, 0.2], [0.6, 0.5], [0.3, 0.4], [0.5, 0.6]])
-    result = SweepResult(draws, np.array([0.2, 0.9, 0.4, 0.9]), 0)
-    assert result.argmax_row() == SweepRow(2, 0.6, 0.5, 0.9)
+    # a held segment whose state-1 mass is 1 makes the held product 0, so
+    # every trial performs exactly 1.0: the first trial must win over the
+    # equal maxima of every later block
+    above = load_case_study("above_average")
+    certain = Segment(
+        "certain", ComponentDistribution((0.0, 1.0, 0.0, 0.0, 0.0))
+    )
+    spec = PipelineSpec(4, (*above.segments[:2], certain))
+    result = sweep_state1(spec, 3 * _ROW_BLOCK + 5, 7)
+    assert result.held_product == 0.0
+    assert set(result.performance.tolist()) == {1.0}
+    assert result.argmax_row().trial == 1
 
 
 def format_rows(first_trial, values, template=_SWEEP_ROW):
