@@ -3,7 +3,8 @@
 One subcommand per analysis: ``coherence``, ``eval``, ``ucv``, ``dist``,
 ``bounds``, ``dominance``, ``pipeline analyze``, ``pipeline sweep``. Exit
 codes: 0 success or property holds, 1 a ``coherence`` or ``dominance``
-verdict failed, 2 usage or input error. Given fixed seeds,
+verdict failed, 2 usage or input error. A reader that closes stdout early
+ends the command with 0 and no message. Given fixed seeds,
 identical invocations print byte-identical output; ``--json`` emits the
 documents described by the schemas under ``docs/schemas``.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Sequence
-from typing import TextIO
 
 from . import __version__
 from .coherence import coherence_report, enumerate_ucv
@@ -23,9 +24,8 @@ from .core import _check_level, as_vector
 from .enumeration import LIMIT_ENV_VAR, ensure_enumerable, resolve_limit
 from .errors import MscsError
 from .pipeline import (
-    SweepResult,
-    _sweep_row_blocks,
     _write_sweep_csv,
+    _write_sweep_json,
     export_results,
     load_pipeline_spec,
     pipeline_cdf,
@@ -125,7 +125,7 @@ def _cmd_eval(args) -> int:
         _emit_json(
             {
                 "structure": format_expr(expr),
-                "state": list(state),
+                "state": state,
                 "level": level,
             }
         )
@@ -145,7 +145,7 @@ def _cmd_ucv(args) -> int:
                 "max_state": args.max_state,
                 "level": found.level,
                 "count": len(found.vectors),
-                "vectors": [list(v) for v in found.vectors],
+                "vectors": found.vectors,
             }
         )
     else:
@@ -205,8 +205,8 @@ def _cmd_dist(args) -> int:
                 "method": args.method,
                 "structure": format_expr(expr),
                 "levels": list(range(dist.max_state + 1)),
-                "pmf": list(dist.pmf),
-                "cdf": list(dist.cdf),
+                "pmf": dist.pmf,
+                "cdf": dist.cdf,
             }
         )
     else:
@@ -259,8 +259,8 @@ def _cmd_dominance(args) -> int:
             {
                 "structure": format_expr(expr),
                 "holds": holds,
-                "cdf": list(system.cdf),
-                "cdf_prime": list(system_primed.cdf),
+                "cdf": system.cdf,
+                "cdf_prime": system_primed.cdf,
             }
         )
     else:
@@ -276,38 +276,6 @@ def _cmd_pipeline_analyze(args) -> int:
     else:
         print(f"{value:.10f}")
     return 0
-
-
-# one row of the sweep document after its separator, keys in sorted order;
-# %r is the repr that json.dumps gives a finite float, and every sweep value
-# is finite (draws are clamped to [tiny, 1), the held pmfs are validated)
-_SWEEP_JSON_ROW = ', {"P_pipeline_1": %r, "p_1_1": %r, "p_2_1": %r, "trial": %d}'
-
-
-def _write_sweep_json(result: SweepResult, handle: TextIO) -> None:
-    """Write the sweep document and a newline, byte for byte
-    ``json.dumps(doc, sort_keys=True)`` of its dict form, with the rows
-    rendered a block at a time instead of a dict per row."""
-    best = result.argmax_row()
-    argmax = json.dumps(
-        {
-            "trial": best.trial,
-            "p_1_1": best.p_1_1,
-            "p_2_1": best.p_2_1,
-            "P_pipeline_1": best.performance,
-        },
-        sort_keys=True,
-    )
-    handle.write(
-        f'{{"argmax": {argmax}, '
-        f'"corner_supremum": {result.corner_supremum!r}, "rows": ['
-    )
-    blocks = _sweep_row_blocks(result, _SWEEP_JSON_ROW, (2, 0, 1))
-    handle.write(next(blocks)[2:])  # no separator before the first row
-    handle.writelines(blocks)
-    handle.write(
-        f'], "seed": {result.seed:d}, "trials": {result.trials:d}}}\n'
-    )
 
 
 def _cmd_pipeline_sweep(args) -> int:
@@ -469,18 +437,30 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
+    except BrokenPipeError:
+        # the reader closed stdout (``mscs ... | head``): not an input error
+        return 0
     except (MscsError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except MemoryError as err:
-        # e.g. a --trials or component count whose arrays cannot be had
+    except (MemoryError, OverflowError) as err:
+        # e.g. a component count whose arrays cannot be had, or one past
+        # the largest index (OverflowError)
         reason = str(err) or "an allocation failed"
         print(f"error: out of memory: {reason}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    try:
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the interpreter's
+        # final flush cannot raise again (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import TextIO, Union
@@ -104,10 +104,11 @@ class SweepResult:
 
     Row ``t`` (0-based) is trial ``t + 1``. Its draws are the PCG64
     stream's doubles ``2t`` and ``2t + 1``, clamped to the smallest
-    positive normal, and its value is ``1 - ((1 - p_1_1) * (1 - p_2_1)) *
-    held_product``. Every reader computes rows ``_ROW_BLOCK`` at a time
-    from the seed, so no reader holds a column of every trial. Equal
-    recipes give the same rows bit for bit.
+    positive normal, and its value is the state-1 formula of
+    :func:`state1_performance`. :meth:`columns`, :meth:`argmax_row` and
+    the CSV and JSON writers compute rows ``_ROW_BLOCK`` at a time from the
+    seed, so none of them holds a column of every trial. Equal recipes give
+    the same rows bit for bit.
     """
 
     seed: int
@@ -119,24 +120,17 @@ class SweepResult:
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """``(first, draws, performance)`` for rows ``start:stop``, at most
         ``_ROW_BLOCK`` rows at a time from row ``first``: the ``(rows, 2)``
-        draws and the performance column. Both are views of buffers that
-        the next block overwrites."""
+        draws, a view of a buffer that the next block overwrites, and the
+        performance column."""
         bit_generator = np.random.PCG64(self.seed)
         bit_generator.advance(2 * start)  # one 64-bit output per double
         rng = np.random.Generator(bit_generator)
         draws = np.empty((min(_ROW_BLOCK, stop - start), 2))
-        performance = np.empty(len(draws))
         for first in range(start, stop, _ROW_BLOCK):
-            d, p = draws[: stop - first], performance[: stop - first]
+            d = draws[: stop - first]
             rng.random(out=d)
             np.maximum(d, np.finfo(np.float64).tiny, out=d)
-            # 1 - ((1 - d0) * (1 - d1)) * held in place: the operations of
-            # the scalar form, in its order
-            np.subtract(1.0, d[:, 0], out=p)
-            p *= 1.0 - d[:, 1]
-            p *= self.held_product
-            np.subtract(1.0, p, out=p)
-            yield first, d, p
+            yield first, d, _state1(d[:, 0], d[:, 1], self.held_product)
 
     def columns(
         self, start: int = 0, stop: int | None = None
@@ -151,24 +145,6 @@ class SweepResult:
             p_2_1 += d[:, 1].tolist()
             performance += p.tolist()
         return range(start + 1, stop + 1), p_1_1, p_2_1, performance
-
-    @property
-    def draws(self) -> np.ndarray:
-        """The ``(trials, 2)`` float64 draws p_1_1, p_2_1, built on
-        request from every block."""
-        blocks = self._blocks(0, self.trials)
-        return np.concatenate([d.copy() for _, d, _ in blocks])
-
-    @property
-    def performance(self) -> np.ndarray:
-        """The ``(trials,)`` float64 performance column, built on request
-        from every block."""
-        blocks = self._blocks(0, self.trials)
-        return np.concatenate([p.copy() for _, _, p in blocks])
-
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        return tuple(map(SweepRow, *self.columns()))
 
     def argmax_row(self) -> SweepRow:
         """The first row of largest performance, found a block at a time."""
@@ -308,14 +284,19 @@ def set_state1(
     return PipelineSpec(spec.max_state, tuple(segments))
 
 
+def _state1(p_1_1, p_2_1, held_product):
+    """The state-1 formula ``1 - (1 - p_1_1) * (1 - p_2_1) * held_product``,
+    on floats or on arrays alike, so a sweep row and the scalar form agree
+    bit for bit. Its association order is not pipeline_cdf's."""
+    return 1.0 - (1.0 - p_1_1) * (1.0 - p_2_1) * held_product
+
+
 def state1_performance(
     p_1_1: float, p_2_1: float, held: Sequence[float]
 ) -> float:
     """State-1 closed form from the two swept values and the held state-1
-    probabilities of the remaining segments. Sweep rows reproduce this
-    bitwise, so both keep this association order (not pipeline_cdf's)."""
-    held_product = math.prod(1.0 - h for h in held)
-    return 1.0 - (1.0 - p_1_1) * (1.0 - p_2_1) * held_product
+    probabilities of the remaining segments."""
+    return _state1(p_1_1, p_2_1, math.prod(1.0 - h for h in held))
 
 
 def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
@@ -580,6 +561,38 @@ def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
     """Write a sweep's CSV header and rows to a text stream."""
     handle.write(_SWEEP_HEADER)
     handle.writelines(_sweep_row_blocks(result, _SWEEP_ROW, (0, 1, 2)))
+
+
+# one row of the sweep document after its separator, keys in sorted order;
+# %r is the repr that json.dumps gives a finite float, and every sweep value
+# is finite (draws are clamped to [tiny, 1), the held pmfs are validated)
+_SWEEP_JSON_ROW = ', {"P_pipeline_1": %r, "p_1_1": %r, "p_2_1": %r, "trial": %d}'
+
+
+def _write_sweep_json(result: SweepResult, handle: TextIO) -> None:
+    """Write the sweep document and a newline, byte for byte
+    ``json.dumps(doc, sort_keys=True)`` of its dict form, with the rows
+    rendered a block at a time instead of a dict per row."""
+    best = result.argmax_row()
+    argmax = json.dumps(
+        {
+            "trial": best.trial,
+            "p_1_1": best.p_1_1,
+            "p_2_1": best.p_2_1,
+            "P_pipeline_1": best.performance,
+        },
+        sort_keys=True,
+    )
+    handle.write(
+        f'{{"argmax": {argmax}, '
+        f'"corner_supremum": {result.corner_supremum!r}, "rows": ['
+    )
+    blocks = _sweep_row_blocks(result, _SWEEP_JSON_ROW, (2, 0, 1))
+    handle.write(next(blocks)[2:])  # no separator before the first row
+    handle.writelines(blocks)
+    handle.write(
+        f'], "seed": {result.seed:d}, "trials": {result.trials:d}}}\n'
+    )
 
 
 def export_results(

@@ -13,6 +13,9 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from mscs.pipeline import state1_performance
 from mscs.structure import Component, KOutOfN, Parallel, Series
 
 
@@ -138,6 +141,17 @@ def random_pmf(rng, max_state):
     """Uniformly random PMF over 0..max_state (numpy Generator)."""
     raw = rng.random(max_state + 1)
     return tuple(float(p) for p in raw / raw.sum())
+
+
+def oracle_sweep_columns(spec, trials, seed):
+    """The columns of ``sweep_state1(spec, trials, seed).columns()`` drawn
+    all at once: trial-major pairs of ``PCG64(seed)`` doubles, clamped to
+    the smallest positive normal, and the scalar state-1 form per row."""
+    held = [seg.distribution.pmf[1] for seg in spec.segments[2:]]
+    draws = np.random.Generator(np.random.PCG64(seed)).random((trials, 2))
+    p_1_1, p_2_1 = np.maximum(draws, np.finfo(np.float64).tiny).T.tolist()
+    performance = [state1_performance(a, b, held) for a, b in zip(p_1_1, p_2_1)]
+    return range(1, trials + 1), p_1_1, p_2_1, performance
 
 
 def nested_chain(depth, op="series", read_once=False):

@@ -8,7 +8,13 @@ import time
 
 import numpy as np
 
-from conftest import oracle_is_ucv, oracle_ucv_set, random_expr, random_pmf
+from conftest import (
+    oracle_is_ucv,
+    oracle_sweep_columns,
+    oracle_ucv_set,
+    random_expr,
+    random_pmf,
+)
 from mscs.cli import run_cli
 from mscs.coherence import (
     check_monotonicity,
@@ -331,9 +337,9 @@ def test_criterion_7_pipeline_case_study(capsys):
     # row stays below the corner supremum, and performance is monotone
     # along coordinate-increasing row pairs
     result = sweep_state1(above, 2000, 7)
-    u1 = np.array([r.p_1_1 for r in result.rows])
-    u2 = np.array([r.p_2_1 for r in result.rows])
-    perf = np.array([r.performance for r in result.rows])
+    columns = result.columns()
+    ok &= columns == oracle_sweep_columns(above, 2000, 7)
+    u1, u2, perf = map(np.array, columns[1:])
     ok &= bool((perf <= result.corner_supremum).all())
     ok &= bool((perf < 1.0).all())
     increasing = (u1[:, None] <= u1[None, :]) & (u2[:, None] <= u2[None, :])

@@ -693,12 +693,17 @@ def test_huge_component_index_exits_2_before_allocating(command):
          "series(c1, c99999999999999)", "--pmf", "0.5,0.5"],
         ["dist", "--method", "mc", "--level", "0", "--structure",
          "series(c1, c99999999999999)", "--pmf", "0.5,0.5"],
+        ["dist", "--method", "closed", "--structure",
+         "series(c1, c99999999999999999999)", "--pmf", "0.5,0.5"],
+        ["dist", "--method", "mc", "--level", "0", "--structure",
+         "series(c1, c99999999999999999999)", "--pmf", "0.5,0.5"],
     ],
-    ids=["dist_closed", "dist_mc"],
+    ids=["dist_closed", "dist_mc", "dist_closed_overflow", "dist_mc_overflow"],
 )
 def test_out_of_memory_exits_2_with_one_line(command):
     # none of these enumerate, so no guard refuses them first: the
-    # allocation fails within the capped address space
+    # allocation fails within the capped address space, or a count past
+    # the largest index cannot even be asked for (OverflowError)
     proc = subprocess.run(
         [sys.executable, "-m", "mscs", *command],
         capture_output=True,
@@ -738,6 +743,59 @@ def test_sweep_streams_huge_trial_count_within_capped_address_space(capsys):
         proc.wait()
         proc.stdout.close()
     assert "".join(got) == want
+
+
+# stdout buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["csv", "json"])
+def test_closed_stdout_exits_0_with_no_message(extra):
+    # a reader that stops early, as `mscs pipeline sweep ... | head` does,
+    # is not an input error: the command ends with 0 and an empty stderr,
+    # and the interpreter's last flush of stdout raises nothing either
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mscs", "pipeline", "sweep", "--spec", ABOVE,
+         "--trials", "100000000", "--seed", "1", *extra],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=BUFFERED_ENV,
+        preexec_fn=_cap_address_space,
+    )
+    try:
+        head = proc.stdout.read(1000)  # the header and a few rows
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head.startswith(b'{"argmax": ' if extra else b"trial,p_1_1,")
+    assert proc.returncode == 0
+    assert err == b""
+
+
+def _close_stdout():
+    os.close(1)
+
+
+@pytest.mark.parametrize("closed_fd", [False, True], ids=["unread", "closed_fd"])
+def test_stdout_closed_before_any_write_exits_0_with_no_message(closed_fd):
+    # the output fits the stdout buffer, so it is first written by the
+    # interpreter's last flush, after the reader is gone: that flush must
+    # not raise. With descriptor 1 closed from the start, sys.stdout is None
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mscs", "eval", "--structure", "c1",
+         "--state", "3"],
+        stdout=None if closed_fd else subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=BUFFERED_ENV,
+        preexec_fn=_close_stdout if closed_fd else None,
+    )
+    if not closed_fd:
+        proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def assert_one_line_error(code, out, err):

@@ -60,9 +60,13 @@ import numpy as np
 import pytest
 
 from conftest import random_pmf
-from mscs.cli import _write_sweep_json
 from mscs.coherence import check_monotonicity, coherence_report, enumerate_ucv
-from mscs.pipeline import export_results, load_case_study, sweep_state1
+from mscs.pipeline import (
+    _write_sweep_json,
+    export_results,
+    load_case_study,
+    sweep_state1,
+)
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
 from mscs.structure import component, parse_expr, series
 

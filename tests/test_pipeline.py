@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNDECODABLE_SPECS
+from conftest import UNDECODABLE_SPECS, oracle_sweep_columns
 from mscs.cli import run_cli
 from mscs.errors import (
     InvalidPMFError,
@@ -218,8 +218,8 @@ def test_state1_monotone_in_each_probability():
 def test_sweep_shape_and_determinism():
     above = load_case_study("above_average")
     result = sweep_state1(above, 50, 7)
-    assert result.trials == 50 and len(result.rows) == 50
-    assert [r.trial for r in result.rows] == list(range(1, 51))
+    assert result.trials == 50
+    assert result.columns() == oracle_sweep_columns(above, 50, 7)
     again = sweep_state1(above, 50, 7)
     assert again == result  # identical rows, bitwise
     different = sweep_state1(above, 50, 8)
@@ -228,14 +228,23 @@ def test_sweep_shape_and_determinism():
 
 def test_sweep_rows_recompute_bitwise():
     above = load_case_study("above_average")
+    columns = sweep_state1(above, 128, 3).columns()
+    assert columns == oracle_sweep_columns(above, 128, 3)
+    for _, p_1_1, p_2_1, performance in zip(*columns):
+        assert 0.0 < p_1_1 < 1.0 and 0.0 < p_2_1 < 1.0
+        assert 0.0 <= performance <= 1.0
+
+
+def test_sweep_block_formula_equals_scalar_form():
+    # the blocks apply the state-1 formula to arrays of draws, and
+    # state1_performance to floats
+    above = load_case_study("above_average")
     held = [seg.distribution.pmf[1] for seg in above.segments[2:]]
-    result = sweep_state1(above, 128, 3)
-    for row in result.rows:
-        assert 0.0 < row.p_1_1 < 1.0 and 0.0 < row.p_2_1 < 1.0
-        assert 0.0 <= row.performance <= 1.0
-        assert row.performance == state1_performance(
-            row.p_1_1, row.p_2_1, held
-        )
+    result = sweep_state1(above, 3 * _ROW_BLOCK + 5, 3)
+    _, p_1_1, p_2_1, performance = result.columns()
+    assert performance == [
+        state1_performance(a, b, held) for a, b in zip(p_1_1, p_2_1)
+    ]
 
 
 def test_sweep_below_corner_supremum():
@@ -243,13 +252,14 @@ def test_sweep_below_corner_supremum():
     result = sweep_state1(below, 200, 21)
     assert result.corner_supremum == 1.0
     best = result.argmax_row()
-    assert all(r.performance <= best.performance for r in result.rows)
+    assert best.performance == max(oracle_sweep_columns(below, 200, 21)[3])
     assert best.performance < result.corner_supremum
 
 
 def test_sweep_single_trial():
-    result = sweep_state1(load_case_study("above_average"), 1, 0)
-    assert len(result.rows) == 1
+    above = load_case_study("above_average")
+    result = sweep_state1(above, 1, 0)
+    assert result.columns() == oracle_sweep_columns(above, 1, 0)
 
 
 def test_sweep_preconditions():
@@ -317,20 +327,22 @@ def test_closed_forms_bit_identical_on_shipped_specs(scenario):
 
 
 def test_export_sweep_csv(tmp_path):
-    result = sweep_state1(load_case_study("above_average"), 3, 7)
+    above = load_case_study("above_average")
     path = tmp_path / "sweep.csv"
-    export_results(result, path)
+    export_results(sweep_state1(above, 3, 7), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,p_1_1,p_2_1,P_pipeline_1"
     assert len(lines) == 4
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
-    for row, want in zip(rows, result.rows):
-        assert int(row["trial"]) == want.trial
+    for row, want in zip(rows, zip(*oracle_sweep_columns(above, 3, 7))):
         # 17 significant digits reload bit-faithfully
-        assert float(row["p_1_1"]) == want.p_1_1
-        assert float(row["p_2_1"]) == want.p_2_1
-        assert float(row["P_pipeline_1"]) == want.performance
+        assert (
+            int(row["trial"]),
+            float(row["p_1_1"]),
+            float(row["p_2_1"]),
+            float(row["P_pipeline_1"]),
+        ) == want
 
 
 def test_export_distribution_csv(tmp_path):
@@ -359,20 +371,14 @@ def test_export_errors(tmp_path):
         export_results(result, tmp_path / "missing" / "x.csv")
 
 
-def oracle_sweep_csv(result):
-    """The per-row ``csv.writer`` export that the batched writer replaced."""
+def oracle_sweep_csv(spec, trials, seed):
+    """The per-row ``csv.writer`` export that the batched writer replaced,
+    of the rows drawn all at once."""
     handle = io.StringIO(newline="")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["trial", "p_1_1", "p_2_1", "P_pipeline_1"])
-    for row in result.rows:
-        writer.writerow(
-            [
-                row.trial,
-                f"{row.p_1_1:.17g}",
-                f"{row.p_2_1:.17g}",
-                f"{row.performance:.17g}",
-            ]
-        )
+    for trial, *values in zip(*oracle_sweep_columns(spec, trials, seed)):
+        writer.writerow([trial, *(f"{v:.17g}" for v in values)])
     return handle.getvalue()
 
 
@@ -383,8 +389,9 @@ def oracle_sweep_csv(result):
 def test_sweep_csv_and_stdout_match_per_row_oracle(
     tmp_path, capsys, trials, seed
 ):
-    result = sweep_state1(load_case_study("above_average"), trials, seed)
-    want = oracle_sweep_csv(result)
+    above = load_case_study("above_average")
+    result = sweep_state1(above, trials, seed)
+    want = oracle_sweep_csv(above, trials, seed)
     if seed == 11026:
         assert "e-06," in want.splitlines()[1]
     path = tmp_path / "sweep.csv"
@@ -402,34 +409,25 @@ def test_sweep_columns_rows_and_equality():
     above = load_case_study("above_average")
     trials = 3 * _ROW_BLOCK + 5
     result = sweep_state1(above, trials, 5)
-    draws, performance = result.draws, result.performance
-    assert draws.shape == (trials, 2) and performance.shape == (trials,)
-    assert result.rows == tuple(
-        SweepRow(t + 1, float(a), float(b), float(p))
-        for t, ((a, b), p) in enumerate(zip(draws, performance))
-    )
+    want = oracle_sweep_columns(above, trials, 5)
+    assert result.columns() == want
     # a range is drawn from its own start row, across block edges too
-    for start in (0, _ROW_BLOCK - 1, _ROW_BLOCK, 9999, trials - 2):
-        assert result.columns(start, start + 3) == (
-            range(start + 1, min(start + 3, trials) + 1),
-            draws[start : start + 3, 0].tolist(),
-            draws[start : start + 3, 1].tolist(),
-            performance[start : start + 3].tolist(),
+    for start, stop in [
+        (0, 3), (_ROW_BLOCK - 1, _ROW_BLOCK + 2), (_ROW_BLOCK, _ROW_BLOCK + 3),
+        (9999, 10002), (trials - 2, trials + 1), (5, 3 * _ROW_BLOCK),
+    ]:
+        assert result.columns(start, stop) == tuple(
+            column[start:stop] for column in want
         )
-    assert result.columns() == (
-        range(1, trials + 1),
-        draws[:, 0].tolist(),
-        draws[:, 1].tolist(),
-        performance.tolist(),
-    )
-    assert result.argmax_row().trial == int(np.argmax(performance)) + 1
+    best = want[3].index(max(want[3]))
+    assert result.argmax_row() == SweepRow(*(column[best] for column in want))
     # equal recipes are equal sweeps; any field that differs gives other rows
     assert result == sweep_state1(above, trials, 5)
     assert result == SweepResult(5, trials, result.held_product)
     assert result != sweep_state1(above, trials, 6)
     assert result != sweep_state1(above, trials - 1, 5)
     assert result != sweep_state1(load_case_study("below_average"), trials, 5)
-    assert result != result.rows
+    assert result != (5, trials, result.held_product)
 
 
 def test_sweep_argmax_returns_first_of_tied_maxima():
@@ -443,7 +441,9 @@ def test_sweep_argmax_returns_first_of_tied_maxima():
     spec = PipelineSpec(4, (*above.segments[:2], certain))
     result = sweep_state1(spec, 3 * _ROW_BLOCK + 5, 7)
     assert result.held_product == 0.0
-    assert set(result.performance.tolist()) == {1.0}
+    want = oracle_sweep_columns(spec, 3 * _ROW_BLOCK + 5, 7)
+    assert set(want[3]) == {1.0}
+    assert result.columns() == want
     assert result.argmax_row().trial == 1
 
 
