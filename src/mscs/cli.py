@@ -283,6 +283,8 @@ def _cmd_pipeline_sweep(args) -> int:
     result = sweep_state1(spec, args.trials, args.seed)
     if args.out:
         export_results(result, args.out)
+    if sys.stdout is None:  # started with stdout closed: nothing to write
+        return 0
     if args.json:
         _write_sweep_json(result, sys.stdout)
     elif args.out:

@@ -55,7 +55,6 @@ from .structure import (
     StructureFunction,
     _check_covers,
     as_level_function,
-    eval_expr_grid,
     kind_evaluator,
 )
 
@@ -220,11 +219,12 @@ def _level_grid(
     limit: int | None,
 ) -> np.ndarray:
     """The level table every coherence pass reads, one axis per component:
-    a tree's binary image over ``{0, 1}^n``, or a callable's full space.
-    Both get the same guard and arity checks, in the same order."""
+    a tree's binary image over ``{0, 1}^n``, or a callable's full space,
+    both from :func:`level_table`. Both get the same guard and arity
+    checks, in the same order."""
     if isinstance(structure, StructureExpr):
         ensure_enumerable(n_components, max_state, limit)
-        return eval_expr_grid(structure, n_components, 1)
+        max_state = 1  # the binary image
     table = level_table(structure, n_components, max_state, limit)
     return table.reshape((max_state + 1,) * n_components)
 

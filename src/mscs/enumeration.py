@@ -12,8 +12,8 @@ both of their inputs come in those chunks, cut by one helper: per-vector
 weights, built block by block, and the levels of an expression tree,
 built by broadcasting over slabs of at most ``2**20`` vectors (one uint8
 byte per vector), so their memory does not grow with the space. A full
-level table (:func:`level_table`) is built only for callables and on
-request.
+level table (:func:`level_table`) is filled from those chunks for a
+tree, and by calling a callable once per vector.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .structure import (
     StructureExpr,
     _check_covers,
     _eval_grid,
-    eval_expr_grid,
+    _indices,
 )
 
 #: Default ceiling on the number of vectors any exhaustive pass may visit.
@@ -208,9 +208,11 @@ def iter_level_chunks(
     ``{0..max_state}^n_components`` in lexicographic order, in the chunks
     of :func:`iter_weight_chunks`: uint8 system levels, one per vector.
 
-    Levels are evaluated one slab at a time: the trailing components span
-    at most ``2**20`` vectors, one axis each as in :func:`eval_expr_grid`,
-    and the leading ones are fixed to the slab's digits. Every largest
+    This is the one evaluator of a tree over a whole space. Levels are
+    evaluated one slab at a time: the trailing components span at most
+    ``2**20`` vectors, component ``ci`` as ``arange(max_state+1)`` laid
+    along axis ``i-1`` so the nodes combine by broadcasting, and the
+    leading ones are fixed to the slab's digits. Every largest
     subtree that reads trailing components only is evaluated once per
     call, not once per slab. Memory stays a small multiple of a slab
     whatever the space size.
@@ -250,19 +252,13 @@ def _hoist_trailing(
     replaced by a component that reads it."""
     if isinstance(expr, Component):
         return expr
-    if _lowest_index(expr) > leading:
+    if min(_indices(expr)) > leading:
         axes.append(_eval_grid(expr, axes))
         return Component(len(axes))
     children = tuple(_hoist_trailing(c, leading, axes) for c in expr.children)
     if isinstance(expr, KOutOfN):
         return KOutOfN(expr.k, children)
     return type(expr)(children)
-
-
-def _lowest_index(expr: StructureExpr) -> int:
-    if isinstance(expr, Component):
-        return expr.index
-    return min(_lowest_index(c) for c in expr.children)
 
 
 def level_table(
@@ -273,17 +269,19 @@ def level_table(
 ) -> np.ndarray:
     """System level for every vector of the space, flat, lexicographic.
 
-    Expression trees are evaluated by broadcasting over the space (see
-    :func:`eval_expr_grid`) into a uint8 table (levels never exceed the
-    255 state ceiling); arbitrary callables are called once per vector,
-    in that order, straight into an int64 table. The limit is checked
-    before anything is allocated. The table costs a byte per vector or
-    more, so the exact distribution streams a tree's levels through
-    :func:`iter_level_chunks` instead; coherence passes use it for
-    callables.
+    Expression trees fill a uint8 table (levels never exceed the 255 state
+    ceiling) chunk by chunk from :func:`iter_level_chunks`, the slabs the
+    exact distribution reads; arbitrary callables are called once per
+    vector, in that order, straight into an int64 table. The limit is
+    checked before anything is allocated. Coherence passes read it for a
+    tree's binary image and for a callable's full space.
     """
     size = ensure_enumerable(n_components, max_state, limit)
     if isinstance(structure, StructureExpr):
-        return eval_expr_grid(structure, n_components, max_state).reshape(-1)
+        chunks = iter_level_chunks(structure, n_components, max_state)
+        table = np.empty(size, dtype=np.uint8)
+        for lo, levels in chunks:
+            table[lo : lo + levels.size] = levels
+        return table
     vectors = itertools.product(range(max_state + 1), repeat=n_components)
     return np.fromiter(map(structure, vectors), np.int64, count=size)

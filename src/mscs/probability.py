@@ -45,6 +45,7 @@ from .structure import (
     StructureExpr,
     _check_covers,
     _eval_grid,
+    _indices,
     kind_evaluator,
 )
 
@@ -268,12 +269,6 @@ def _tree_cdf(expr: StructureExpr, values: Sequence[float]) -> float:
     raise TypeError(f"not a structure expression: {expr!r}")
 
 
-def _component_indices(expr: StructureExpr) -> list[int]:
-    if isinstance(expr, Component):
-        return [expr.index]
-    return [i for c in expr.children for i in _component_indices(c)]
-
-
 def closed_form_distribution(
     expr: StructureExpr, dists: Sequence[DistributionLike]
 ) -> SystemDistribution:
@@ -281,7 +276,7 @@ def closed_form_distribution(
     component CDFs (the universal generating function method); agrees with
     :func:`exact_system_distribution` to ``ORACLE_TOLERANCE``."""
     family = _system_family(expr, dists)
-    indices = _component_indices(expr)
+    indices = _indices(expr)
     if len(set(indices)) < len(indices):
         raise PreconditionViolatedError(
             "the closed form needs a read-once tree, in which no component "

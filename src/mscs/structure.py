@@ -144,13 +144,23 @@ def kind_evaluator(kind: Kind) -> Callable[[Sequence[int]], int]:
     raise ValueError(f"kind must be 'series' or 'parallel', got {kind!r}")
 
 
+def _indices(expr: StructureExpr) -> list[int]:
+    """Every 1-based component index ``expr`` references, one per leaf."""
+    found, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Component):
+            found.append(node.index)
+        elif isinstance(node, (Series, Parallel, KOutOfN)):
+            stack.extend(node.children)
+        else:
+            raise TypeError(f"not a structure expression: {node!r}")
+    return found
+
+
 def arity(expr: StructureExpr) -> int:
     """Largest 1-based component index referenced by ``expr``."""
-    if isinstance(expr, Component):
-        return expr.index
-    if isinstance(expr, (Series, Parallel, KOutOfN)):
-        return max(arity(c) for c in expr.children)
-    raise TypeError(f"not a structure expression: {expr!r}")
+    return max(_indices(expr))
 
 
 def _check_covers(expr: StructureExpr, n_components: int) -> None:
@@ -198,33 +208,9 @@ def eval_expr_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
     return _eval_grid(expr, list(states.T))
 
 
-def eval_expr_grid(
-    expr: StructureExpr, n_components: int, max_state: int
-) -> np.ndarray:
-    """:func:`eval_expr` at every vector of ``{0..max_state}^n_components``.
-
-    Returns a C-contiguous uint8 array of shape ``(max_state+1,) * n``
-    whose entry at ``x`` is the system level of ``x``, so its flat view is
-    in lexicographic order with component 1 most significant. Built by
-    broadcasting: component ``ci`` is ``arange(max_state+1)`` laid along
-    axis ``i-1``, and every node combines the broadcast shapes of its
-    children, so no digit matrix is ever materialized.
-    """
-    _check_covers(expr, n_components)
-    levels = np.arange(max_state + 1, dtype=np.uint8)
-    axes = [
-        levels.reshape((-1,) + (1,) * (n_components - 1 - i))
-        for i in range(n_components)
-    ]
-    grid = _eval_grid(expr, axes)
-    shape = (max_state + 1,) * n_components
-    if grid.shape != shape or not grid.flags.c_contiguous:
-        grid = np.broadcast_to(grid, shape).copy()
-    return grid
-
-
 def _eval_grid(expr: StructureExpr, axes: list[np.ndarray]) -> np.ndarray:
-    # never writes into its inputs: component axes are shared views
+    """Levels of ``expr``, component ``ci`` read from ``axes[i-1]``, in the
+    broadcast shape of the axes it reads. Never writes into its inputs."""
     if isinstance(expr, Component):
         return axes[expr.index - 1]
     if isinstance(expr, (Series, Parallel)):

@@ -779,23 +779,36 @@ def _close_stdout():
 
 
 @pytest.mark.parametrize("closed_fd", [False, True], ids=["unread", "closed_fd"])
-def test_stdout_closed_before_any_write_exits_0_with_no_message(closed_fd):
+def test_stdout_closed_before_any_write_exits_0_with_no_message(
+    capsys, tmp_path, closed_fd
+):
     # the output fits the stdout buffer, so it is first written by the
     # interpreter's last flush, after the reader is gone: that flush must
-    # not raise. With descriptor 1 closed from the start, sys.stdout is None
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "mscs", "eval", "--structure", "c1",
-         "--state", "3"],
-        stdout=None if closed_fd else subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=BUFFERED_ENV,
-        preexec_fn=_close_stdout if closed_fd else None,
-    )
-    if not closed_fd:
-        proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0
-    assert err == b""
+    # not raise. With descriptor 1 closed from the start, sys.stdout is None:
+    # the sweep's CSV and --json writers are skipped, and its --out file
+    # still holds the bytes of a run with stdout open
+    sweep = ["pipeline", "sweep", "--spec", ABOVE, "--trials", "3", "--seed", "1"]
+    commands = [["eval", "--structure", "c1", "--state", "3"]]
+    if closed_fd:
+        closed_out = tmp_path / "closed.csv"
+        commands += [sweep, [*sweep, "--json"], [*sweep, "--out", str(closed_out)]]
+    for command in commands:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mscs", *command],
+            stdout=None if closed_fd else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=BUFFERED_ENV,
+            preexec_fn=_close_stdout if closed_fd else None,
+        )
+        if not closed_fd:
+            proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, command
+        assert err == b"", command
+    if closed_fd:
+        open_out = tmp_path / "open.csv"
+        assert invoke(capsys, *sweep, "--out", str(open_out))[0] == 0
+        assert closed_out.read_bytes() == open_out.read_bytes()
 
 
 def assert_one_line_error(code, out, err):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import mscs.enumeration as enumeration
-from conftest import random_expr, random_pmf
+from conftest import oracle_eval, oracle_space, random_expr, random_pmf
 from mscs.enumeration import (
     _CHUNK,
     _digit_matrix,
     iter_level_chunks,
     iter_weight_chunks,
+    level_table,
 )
 from mscs.probability import exact_system_distribution
 from mscs.structure import Component, KOutOfN, Series, arity, parse_expr
@@ -117,6 +118,23 @@ def test_level_chunks_match_level_table(monkeypatch, chunk, max_state, max_index
         expr = random_expr(rnd, max_depth=4, max_index=max_index)
         n = arity(expr) + case % 3
         assert_streams_table(expr, n, max_state, case)
+
+
+# 3^8 and 5^6 vectors in slabs of 3^6 and 5^4: a 2^12-vector chunk spans
+# several slabs and ends inside one, and a 2^8-vector chunk joins a slab's
+# tail to the next slab's head
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 8])
+@pytest.mark.parametrize("n, max_state", [(8, 2), (6, 4)])
+def test_level_table_fills_across_slabs(monkeypatch, chunk, n, max_state):
+    monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    monkeypatch.setattr(enumeration, "_SLAB", 1 << 10)
+    rnd = random.Random(chunk + n)
+    for _ in range(4):
+        expr = random_expr(rnd, max_depth=4, max_index=n)
+        table = level_table(expr, n, max_state)
+        assert table.dtype == np.uint8
+        want = [oracle_eval(expr, x) for x in oracle_space(n, max_state)]
+        assert table.tolist() == want
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,13 @@ nothing per call: ``tracemalloc`` would otherwise record every frame a
 Python callable allocates, which leaves the peak unchanged but makes
 each case take ~15 s instead of ~1 s.
 
+A tree's binary image is filled from the exact distribution's level
+slabs of at most 2^20 vectors, so ``coherence_report`` on
+``koon(11; c1..c22)`` (2^22 entries) must stay within 24 bytes per entry:
+the image, the pass's own masks and one slab's children x slab stack,
+17.5 in all. Evaluating the whole image at once held 22 copies of it
+for the koon node and peaked at 44.0.
+
 A tree is monotone by construction, so ``check_monotonicity`` on one runs
 the guard and the arity check and builds no table: on a 20-component
 series it must peak below 64 KiB, where the binary image alone is 1 MiB.
@@ -68,7 +75,7 @@ from mscs.pipeline import (
     sweep_state1,
 )
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
-from mscs.structure import component, parse_expr, series
+from mscs.structure import component, k_out_of_n, parse_expr, series
 
 N, MAX_STATE = 8, 4
 VECTORS = (MAX_STATE + 1) ** N
@@ -94,6 +101,10 @@ CALLABLE_PASSES = {
 CALLABLE_BYTES_PER_VECTOR = 20
 
 MONOTONICITY_PEAK_BYTES = 64 * 1024
+
+WIDE_KOON_N = 22
+WIDE_KOON = k_out_of_n(11, *(component(i) for i in range(1, WIDE_KOON_N + 1)))
+WIDE_KOON_BYTES_PER_ENTRY = 24
 
 MC_TREE = parse_expr(
     "series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8, c9, c10)"
@@ -145,6 +156,12 @@ def test_tree_monotonicity_builds_no_table():
     expr = series(*(component(i) for i in range(1, 21)))
     peak = peak_bytes(lambda: check_monotonicity(expr, 20, 1))
     assert peak <= MONOTONICITY_PEAK_BYTES, f"{peak} B"
+
+
+def test_wide_koon_coherence_peak_bytes_per_entry():
+    peak = peak_bytes(lambda: coherence_report(WIDE_KOON, WIDE_KOON_N, 1))
+    per_entry = peak / 2**WIDE_KOON_N
+    assert per_entry <= WIDE_KOON_BYTES_PER_ENTRY, f"{per_entry:.1f} B/entry"
 
 
 def test_monte_carlo_peak_bytes_per_draw():

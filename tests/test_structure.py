@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nested_chain, oracle_eval, random_expr
+from mscs.enumeration import level_table
 from mscs.errors import (
     ArityMismatchError,
     EmptyVectorError,
@@ -24,7 +25,6 @@ from mscs.structure import (
     as_level_function,
     eval_expr,
     eval_expr_batch,
-    eval_expr_grid,
     eval_k_out_of_n,
     eval_parallel,
     eval_series,
@@ -238,16 +238,16 @@ def test_batch_matches_scalar():
         assert got.tolist() == want
 
 
-# grids of 2^12 to 3^8 vectors, large enough that children are laid out
+# tables of 2^12 to 3^8 vectors, large enough that children are laid out
 # contiguously over the inner axes before they are combined
 @pytest.mark.parametrize("n, max_state", [(12, 1), (8, 2), (6, 3)])
 def test_grid_matches_scalar(n, max_state):
     rnd = random.Random(n * 10 + max_state)
     for _ in range(6):
         expr = random_expr(rnd, max_depth=4, max_index=n)
-        grid = eval_expr_grid(expr, n, max_state)
+        table = level_table(expr, n, max_state)
         space = itertools.product(range(max_state + 1), repeat=n)
-        assert grid.reshape(-1).tolist() == [oracle_eval(expr, x) for x in space]
+        assert table.tolist() == [oracle_eval(expr, x) for x in space]
 
 
 def test_arity_refusals_share_one_message():
@@ -257,7 +257,7 @@ def test_arity_refusals_share_one_message():
     for call in (
         lambda: eval_expr(expr, (1,)),
         lambda: eval_expr_batch(expr, np.zeros((3, 1), dtype=np.int64)),
-        lambda: eval_expr_grid(expr, 1, 2),
+        lambda: level_table(expr, 1, 2),
         lambda: as_level_function(expr, 1),
         lambda: closed_form_distribution(expr, [(0.5, 0.5)]),
     ):
