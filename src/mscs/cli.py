@@ -332,12 +332,20 @@ def _add_dists(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="pipeline spec file supplying the pmfs")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, its subcommands' included,
+    end like every input error: one ``error:`` line and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no state
     on it (each ``parse_args`` starts from a fresh namespace and copies
     appended lists), and handlers look their analyses up at call time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mscs",
         description="Analyze multistate coherent systems.",
     )

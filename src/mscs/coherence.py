@@ -202,14 +202,7 @@ def check_monotonicity(
 
     On failure, returns the lexicographically least violating pair (x, y).
     """
-    if isinstance(structure, StructureExpr):
-        # min, max and order statistics of monotone children are monotone,
-        # so only the guard and arity checks of a table remain
-        ensure_enumerable(n_components, max_state, limit)
-        _check_covers(structure, n_components)
-        return MonotonicityResult(True)
-    table = _level_grid(structure, n_components, max_state, limit)
-    return _monotonicity_from_table(table)
+    return _monotonicity(structure, n_components, max_state, limit)
 
 
 def _level_grid(
@@ -229,7 +222,21 @@ def _level_grid(
     return table.reshape((max_state + 1,) * n_components)
 
 
-def _monotonicity_from_table(table: np.ndarray) -> MonotonicityResult:
+def _monotonicity(
+    structure: StructureFunction,
+    n_components: int,
+    max_state: int,
+    limit: int | None,
+    table: np.ndarray | None = None,
+) -> MonotonicityResult:
+    """A tree is monotone by the lemma: it gets the guard and arity checks
+    and no table. A callable's ``table``, built when None, is searched."""
+    if isinstance(structure, StructureExpr):
+        ensure_enumerable(n_components, max_state, limit)
+        _check_covers(structure, n_components)
+        return MonotonicityResult(True)
+    if table is None:
+        table = _level_grid(structure, n_components, max_state, limit)
     # suffix minima along each axis compose to the minimum over the
     # componentwise up-set of every vector; ``view[i, ...]`` stays a
     # writable view even when the table has a single axis
@@ -341,13 +348,13 @@ def coherence_report(
     max_state: int,
     limit: int | None = None,
 ) -> CoherenceReport:
-    """Run all three coherence checks over one shared level table: the
-    binary image for expression trees, the full space for callables."""
+    """Run all three coherence checks; relevance, and a callable's
+    monotonicity, read one table: a tree's binary image or a full space."""
     table = _level_grid(structure, n_components, max_state, limit)
     return CoherenceReport(
         n_components,
         max_state,
-        _monotonicity_from_table(table),
+        _monotonicity(structure, n_components, max_state, limit, table),
         _relevance_from_table(table, max_state),
         check_boundary(structure, n_components, max_state),
     )

@@ -34,6 +34,7 @@ from .probability import (
     ComponentDistribution,
     SystemDistribution,
     _check_seed,
+    _uniform_blocks,
     closed_form_cdf,
     validate_pmf,
 )
@@ -118,17 +119,10 @@ class SweepResult:
     def _blocks(
         self, start: int, stop: int
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """``(first, draws, performance)`` for rows ``start:stop``, at most
-        ``_ROW_BLOCK`` rows at a time from row ``first``: the ``(rows, 2)``
-        draws, a view of a buffer that the next block overwrites, and the
-        performance column."""
-        bit_generator = np.random.PCG64(self.seed)
-        bit_generator.advance(2 * start)  # one 64-bit output per double
-        rng = np.random.Generator(bit_generator)
-        draws = np.empty((min(_ROW_BLOCK, stop - start), 2))
-        for first in range(start, stop, _ROW_BLOCK):
-            d = draws[: stop - first]
-            rng.random(out=d)
+        """``(first, draws, performance)`` for rows ``start:stop``: the
+        clamped ``(rows, 2)`` blocks of :func:`_uniform_blocks`, which the
+        next block overwrites, and their performance column."""
+        for first, d in _uniform_blocks(self.seed, 2, start, stop, _ROW_BLOCK):
             np.maximum(d, np.finfo(np.float64).tiny, out=d)
             yield first, d, _state1(d[:, 0], d[:, 1], self.held_product)
 
@@ -206,8 +200,8 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
     ):
         raise SpecFormatError("field 'max_state' must be an integer")
     raw_segments = doc.get("segments")
-    if not isinstance(raw_segments, list) or not raw_segments:
-        raise SpecFormatError("field 'segments' must be a nonempty array")
+    if not isinstance(raw_segments, list):
+        raise SpecFormatError("field 'segments' must be an array")
     segments = []
     for pos, raw in enumerate(raw_segments, start=1):
         if not isinstance(raw, dict):

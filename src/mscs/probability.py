@@ -17,7 +17,7 @@ event is one draw compared with one CDF value.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Union
@@ -44,8 +44,8 @@ from .structure import (
     Series,
     StructureExpr,
     _check_covers,
-    _eval_grid,
     _indices,
+    eval_expr_batch,
     kind_evaluator,
 )
 
@@ -189,6 +189,19 @@ def _check_seed(seed: int) -> None:
         raise PreconditionViolatedError(
             f"seed must be a non-negative integer, got {seed}"
         )
+
+
+def _uniform_blocks(
+    seed: int, width: int, start: int, stop: int, block: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(first, draws)`` for trials ``start:stop`` of ``PCG64(seed)``,
+    ``width`` doubles each, ``block`` trials at a time in one reused buffer."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(width * start)  # one 64-bit output per double
+    rng = np.random.Generator(bit_generator)
+    draws = np.empty((min(block, stop - start), width))
+    for first in range(start, stop, block):
+        yield first, rng.random(out=draws[: stop - first])
 
 
 def _system_family(
@@ -406,20 +419,12 @@ def monte_carlo_cdf(
     # X_i > level exactly when u >= cums_i[level]; nothing exceeds the top
     # level, however far below 1 rounding left cums_i[max_state]
     above = cums[:, level] if level < max_state else np.full(n, np.inf)
-    rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
-    chunk = 1 << 16
-    # one buffer for every chunk: filling it in place draws the same
-    # stream as a fresh array per chunk, without two chunks alive at once
-    draws = np.empty((min(chunk, samples), n))
-    for lo in range(0, samples, chunk):
-        count = min(chunk, samples - lo)
-        uniforms = rng.random(out=draws[:count])
-        # one contiguous 0/1 row per component: the tree on them is its
-        # binary image, 1 where the system is above the level
+    for _, uniforms in _uniform_blocks(seed, n, 0, samples, 1 << 16):
+        # one contiguous 0/1 row per component, 1 where it is above the level
         events = np.ascontiguousarray((uniforms >= above).T).view(np.uint8)
-        exceeds = _eval_grid(expr, list(events))
-        hits += count - int(np.count_nonzero(exceeds))
+        exceeds = eval_expr_batch(expr, events.T)  # the binary image
+        hits += len(uniforms) - int(np.count_nonzero(exceeds))
     estimate = hits / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return MonteCarloEstimate(estimate, samples, seed, std_error)

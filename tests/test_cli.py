@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from itertools import zip_longest
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import UNDECODABLE_SPECS, nested_chain
 from mscs.cli import run_cli
@@ -586,11 +591,26 @@ def test_limit_env_rejects_malformed_value_in_a_fresh_process():
     )
 
 
+USAGE_ERRORS = {
+    "unknown_command": ["frobnicate"],
+    "no_command": [],
+    "missing_flags": ["coherence"],
+    "missing_one_flag": ["coherence", "--structure", "c1"],
+    "missing_subcommand": ["pipeline"],
+    "missing_sub_flags": ["pipeline", "sweep", "--spec", CASE_STUDY],
+    "not_an_int": ["dist", "--structure", "c1", "--pmf", "0.5,0.5", "--limit", "abc"],
+    "bad_choice": ["dist", "--structure", "c1", "--pmf", "0.5,0.5", "--method", "x"],
+    "unknown_flag": ["eval", "--structure", "c1", "--state", "1", "--frob"],
+}
+
+
 def test_usage_errors_exit_2(capsys):
-    assert invoke(capsys, "frobnicate")[0] == 2
-    assert invoke(capsys, "coherence")[0] == 2  # missing required flags
-    assert invoke(capsys, "pipeline")[0] == 2  # missing subcommand
-    assert invoke(capsys)[0] == 2  # no subcommand at all
+    # argparse's own refusals end like every other input error: one line
+    # naming the problem, not a usage block
+    for name, argv in USAGE_ERRORS.items():
+        code, out, err = invoke(capsys, *argv)
+        assert_one_line_error(code, out, err)
+        assert "usage:" not in err, name
 
 
 def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch):
@@ -974,3 +994,147 @@ def test_undecodable_inputs_exit_2_in_a_fresh_process(tmp_path):
         )
         assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+# The exit-code contract under random invocations: small structures, pmfs,
+# levels, counts and spec files, valid or not. Every invocation ends with 0,
+# 1 or 2; no exception escapes run_cli (which in a process is a traceback);
+# exit 2 prints exactly one stderr line; exit 1 is a failed coherence or
+# dominance verdict and nothing else.
+FUZZ_N, FUZZ_M, FUZZ_COUNT = 6, 3, 1000
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@st.composite
+def fuzz_structure(draw, depth=2):
+    """DSL text over c1..c6, now and then broken."""
+    if depth == 0 or draw(st.booleans()):
+        return f"c{draw(st.integers(0 if draw(RARELY) else 1, FUZZ_N))}"
+    children = draw(st.lists(
+        fuzz_structure(depth - 1), min_size=1 if draw(RARELY) else 2, max_size=3
+    ))
+    op = draw(st.sampled_from(["series", "parallel", "koon"]))
+    if op == "koon":
+        k = draw(st.integers(0, 4) if draw(RARELY) else st.integers(1, len(children)))
+        return f"koon({k}; {', '.join(children)})"
+    return f"{op}({', '.join(children)})"
+
+
+@st.composite
+def fuzz_pmf(draw, max_state):
+    """A pmf over 0..max_state as ``--pmf`` text, now and then broken."""
+    if draw(RARELY):
+        masses = st.sampled_from(["0", "0.5", "1", "-0.5", "nan", "x", ""])
+        return ",".join(draw(st.lists(masses, min_size=1, max_size=4)))
+    weights = draw(st.lists(
+        st.integers(0, 4), min_size=max_state + 1, max_size=max_state + 1
+    ).filter(any))
+    return ",".join(repr(w / sum(weights)) for w in weights)
+
+
+@st.composite
+def fuzz_spec(draw, max_state):
+    """The text of a pipeline spec file, now and then broken."""
+    if draw(RARELY):
+        return draw(st.sampled_from([
+            "", "[1, 2]", "{", '{"max_state": true}',
+            '{"max_state": 1, "segments": []}',
+        ]))
+    segments = []
+    for i in range(draw(st.integers(1, FUZZ_N))):
+        pmf = draw(fuzz_pmf(max_state)).split(",")
+        try:
+            pmf = [float(p) for p in pmf]
+        except ValueError:
+            pass  # the loader refuses it as an array of non-numbers
+        segments.append({"name": f"s{i}", "pmf": pmf})
+    return json.dumps({"max_state": max_state, "segments": segments})
+
+
+def _optional(draw, flag, values):
+    value = draw(st.one_of(st.none(), values))
+    return [] if value is None else [flag, str(value)]
+
+
+@st.composite
+def fuzz_invocation(draw):
+    """``(command, argv, spec texts)``: ``{spec}`` and ``{spec_prime}`` in
+    argv name files holding those texts, ``{out}`` a file to write."""
+    command = draw(st.sampled_from([
+        "coherence", "eval", "ucv", "dist", "bounds", "dominance",
+        "pipeline analyze", "pipeline sweep",
+    ]))
+    # one level range for the whole invocation, now and then another
+    max_state = draw(st.integers(1, FUZZ_M))
+    states = st.integers(0, FUZZ_M) if draw(RARELY) else st.just(max_state)
+    structure = ["--structure", draw(fuzz_structure())]
+    level = st.integers(-1, FUZZ_M + 1)
+    count = st.integers(-1, FUZZ_COUNT) if draw(RARELY) else st.integers(1, FUZZ_COUNT)
+    limits = st.sampled_from(["0", "5", "4096", "-1", "abc"])
+    limit = _optional(draw, "--limit", limits)
+    json_flag = ["--json"] if draw(st.booleans()) else []
+
+    def dists(flag="--pmf", spec_flag="--spec", key="{spec}"):
+        if draw(st.integers(0, 3)) == 0:
+            return [spec_flag, key]
+        # one pmf broadcasts to every component; a count may mismatch
+        pmfs = [draw(fuzz_pmf(draw(states)))
+                for _ in range(draw(st.integers(0, 3)) if draw(RARELY) else 1)]
+        return [arg for pmf in pmfs for arg in (flag, pmf)]
+
+    if command in ("coherence", "ucv"):
+        argv = [*structure, "--max-state", str(draw(states))]
+        if draw(RARELY):
+            argv += ["--components", str(draw(st.integers(0, FUZZ_N + 1)))]
+        if command == "ucv":
+            argv += ["--level", str(draw(level))]
+        argv += limit
+    elif command == "eval":
+        size = draw(st.integers(1, FUZZ_N)) if draw(RARELY) else FUZZ_N
+        state = draw(st.lists(states, min_size=size, max_size=size))
+        argv = [*structure, "--state", ",".join(map(str, state))]
+    elif command == "dist":
+        method = draw(st.sampled_from(["exact", "closed", "mc"]))
+        argv = [*structure, "--method", method, *dists(), *limit]
+        argv += _optional(draw, "--level", level)
+        argv += _optional(draw, "--samples", count)
+        argv += _optional(draw, "--seed", st.integers(-1, 5))
+        if draw(RARELY):
+            argv += ["--out", "{out}"]
+    elif command == "bounds":
+        kind = draw(st.sampled_from(["series", "parallel", "neither"]))
+        argv = ["--kind", kind, *dists(), "--level", str(draw(level))]
+    elif command == "dominance":
+        primed = dists("--pmf-prime", "--spec-prime", "{spec_prime}")
+        argv = [*structure, *dists(), *primed, *limit]
+    elif command == "pipeline analyze":
+        argv = ["--spec", "{spec}", "--level", str(draw(level))]
+    else:
+        argv = ["--spec", "{spec}", "--trials", str(draw(count)),
+                "--seed", str(draw(st.integers(-1, 5)))]
+        if draw(RARELY):
+            argv += ["--out", "{out}"]
+    specs = {key: draw(fuzz_spec(draw(states))) for key in ("spec", "spec_prime")}
+    return command, [*command.split(), *argv, *json_flag], specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_invocation())
+def test_cli_exit_code_contract(invocation):
+    command, argv, specs = invocation
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {"out": os.path.join(scratch, "out.csv")}
+        for key, text in specs.items():
+            paths[key] = os.path.join(scratch, f"{key}.json")
+            Path(paths[key]).write_text(text)
+        argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    if code == 1:
+        assert command in ("coherence", "dominance"), (argv, err)

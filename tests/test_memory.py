@@ -34,6 +34,14 @@ the guard and the arity check and builds no table: on a 20-component
 series it must peak below 64 KiB, where the binary image alone is 1 MiB.
 It peaks at about 1 KB.
 
+``coherence_report`` on a tree takes its monotonicity from the same
+rule, and searches only the image for relevance: on a 20-component
+series at M = 1, and on ``parallel(series(c1, c2), series(c3..c20))``,
+it must stay within 2.5 bytes per image entry. It peaks at 2.04 (the
+image and the relevance pass's half-size masks). Searching the image for
+a monotonicity violation as well took a copy of it and another mask,
+3.01.
+
 The exact distribution streams its levels in the chunks of its weights,
 cut from slabs of at most 2^20 vectors, so its peak does not grow with
 the space: at ``{0..4}^10`` (9,765,625 vectors) it must stay within 4 MB,
@@ -75,7 +83,7 @@ from mscs.pipeline import (
     sweep_state1,
 )
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
-from mscs.structure import component, k_out_of_n, parse_expr, series
+from mscs.structure import component, k_out_of_n, parallel, parse_expr, series
 
 N, MAX_STATE = 8, 4
 VECTORS = (MAX_STATE + 1) ** N
@@ -101,6 +109,14 @@ CALLABLE_PASSES = {
 CALLABLE_BYTES_PER_VECTOR = 20
 
 MONOTONICITY_PEAK_BYTES = 64 * 1024
+
+WIDE_N = 20
+_WIDE = [component(i) for i in range(1, WIDE_N + 1)]
+WIDE_TREES = {
+    "series": series(*_WIDE),
+    "parallel_of_series": parallel(series(*_WIDE[:2]), series(*_WIDE[2:])),
+}
+TREE_REPORT_BYTES_PER_ENTRY = 2.5
 
 WIDE_KOON_N = 22
 WIDE_KOON = k_out_of_n(11, *(component(i) for i in range(1, WIDE_KOON_N + 1)))
@@ -156,6 +172,14 @@ def test_tree_monotonicity_builds_no_table():
     expr = series(*(component(i) for i in range(1, 21)))
     peak = peak_bytes(lambda: check_monotonicity(expr, 20, 1))
     assert peak <= MONOTONICITY_PEAK_BYTES, f"{peak} B"
+
+
+@pytest.mark.parametrize("name", WIDE_TREES)
+def test_tree_coherence_report_peak_bytes_per_entry(name):
+    expr = WIDE_TREES[name]
+    peak = peak_bytes(lambda: coherence_report(expr, WIDE_N, 1))
+    per_entry = peak / 2**WIDE_N
+    assert per_entry <= TREE_REPORT_BYTES_PER_ENTRY, f"{per_entry:.2f} B/entry"
 
 
 def test_wide_koon_coherence_peak_bytes_per_entry():

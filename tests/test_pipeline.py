@@ -73,7 +73,7 @@ def test_load_format_errors(tmp_path):
     for mutate, needle in [
         (lambda d: d.pop("max_state"), "max_state"),
         (lambda d: d.update(max_state="4"), "max_state"),
-        (lambda d: d.update(segments=[]), "segments"),
+        (lambda d: d.update(segments=[]), "at least one segment"),
         (lambda d: d.update(segments="x"), "segments"),
         (lambda d: d["segments"][0].pop("name"), "name"),
         (lambda d: d["segments"][0].update(pmf=[0, 0.1, 0.2, 0.7]), "entries"),
@@ -84,6 +84,17 @@ def test_load_format_errors(tmp_path):
         mutate(doc)
         with pytest.raises(SpecFormatError, match=needle):
             load_pipeline_spec(write_spec(tmp_path, doc))
+
+
+def test_empty_segments_refused_with_one_message(tmp_path):
+    # PipelineSpec owns the check; the loader checks only that it is a list
+    doc = {"max_state": 1, "segments": []}
+    with pytest.raises(SpecFormatError) as loaded:
+        load_pipeline_spec(write_spec(tmp_path, doc))
+    with pytest.raises(SpecFormatError) as built:
+        PipelineSpec(1, ())
+    assert str(loaded.value) == str(built.value)
+    assert str(built.value) == "a pipeline needs at least one segment"
 
 
 @pytest.mark.parametrize(
