@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from collections.abc import Sequence
 
@@ -340,6 +341,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: Flags whose value is a comma-separated list of numbers.
+_NUMBER_LIST_FLAGS = frozenset({"--pmf", "--pmf-prime", "--state"})
+
+
+def _attach_number_lists(argv: Sequence[str]) -> list[str]:
+    """``argv`` with ``--pmf -0.5,1.5`` written as ``--pmf=-0.5,1.5``.
+
+    argparse takes a value that starts with a minus sign for an option
+    unless it is one plain negative number, so a list whose first entry is
+    negative would be refused as a missing value instead of getting its
+    own diagnosis. A value that starts with a minus sign and a digit or a
+    point is attached to the number-list flag before it.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_LIST_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no state
@@ -443,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser().parse_args(_attach_number_lists(argv))
         return args.handler(args)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2

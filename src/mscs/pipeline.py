@@ -234,13 +234,20 @@ def pipeline_cdf(spec: PipelineSpec, level: int) -> float:
 def pipeline_state1_cdf(spec: PipelineSpec) -> float:
     """State-1 closed form, valid only when no segment carries mass at
     complete failure: :func:`pipeline_cdf` at 1, i.e. 1 - prod(1 - p_i1)."""
-    for seg in spec.segments:
+    _check_no_complete_failure(spec.segments)
+    return pipeline_cdf(spec, 1)
+
+
+def _check_no_complete_failure(segments: Sequence[Segment]) -> None:
+    """Refuse the first segment with mass at complete failure (state 0),
+    where the state-1 closed form does not apply."""
+    for seg in segments:
         if seg.distribution.pmf[0] != 0.0:
             raise PreconditionViolatedError(
                 f"segment {seg.name!r} has nonzero complete-failure mass "
-                f"{seg.distribution.pmf[0]!r}"
+                f"{seg.distribution.pmf[0]!r}; the state-1 closed form does "
+                "not apply"
             )
-    return pipeline_cdf(spec, 1)
 
 
 def set_state1(
@@ -312,12 +319,7 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
         raise PreconditionViolatedError(
             "the sweep needs at least two segments to vary"
         )
-    for seg in spec.segments[2:]:
-        if seg.distribution.pmf[0] != 0.0:
-            raise PreconditionViolatedError(
-                f"segment {seg.name!r} has nonzero complete-failure mass; "
-                "the state-1 closed form does not apply"
-            )
+    _check_no_complete_failure(spec.segments[2:])
     held_product = math.prod(
         1.0 - seg.distribution.pmf[1] for seg in spec.segments[2:]
     )
@@ -442,16 +444,34 @@ def _fixed_digits(
     x = np.where(printed, values, 0.5)
     decade = np.searchsorted(_DECADES, x, side="right") - 1
     high = x * _SCALES[decade]
-    x_high, x_low = _veltkamp_split(x)
-    s_high, s_low = _SCALES_HIGH[decade], _SCALES_LOW[decade]
-    error = (
-        (x_high * s_high - high) + x_high * s_low + x_low * s_high
-    ) + x_low * s_low
+    error = _product_error(x, decade, high)
     rounded = np.rint(error)
-    digits = high.astype(np.int64) + rounded.astype(np.int64)
+    digits = high.astype(np.int64)
+    digits += rounded.astype(np.int64)
     if shortest:
         digits = _shortest(x, decade, digits, error - rounded)
     return decade, digits, printed
+
+
+def _product_error(
+    x: np.ndarray, decade: np.ndarray, high: np.ndarray
+) -> np.ndarray:
+    """``x * 10**(16 - e) - high`` exactly, where ``high`` is that product
+    rounded to a double: ``((xh * sh - high) + xh * sl + xl * sh) + xl *
+    sl`` over the Veltkamp halves of ``x`` and of the scale, summed in that
+    order. The products overwrite the halves, so a block holds few
+    temporaries at once."""
+    x_high, x_low = _veltkamp_split(x)
+    s_high, s_low = _SCALES_HIGH[decade], _SCALES_LOW[decade]
+    error = x_high * s_high
+    error -= high
+    x_high *= s_low
+    error += x_high
+    s_high *= x_low
+    error += s_high
+    s_low *= x_low
+    error += s_low
+    return error
 
 
 def _shortest(
@@ -498,35 +518,7 @@ def _render_rows(template: str, first_trial: int, values: np.ndarray) -> str:
     row goes through the template itself.
     """
     count = len(values)
-    groups = -(-len(str(first_trial + count - 1)) // 4)
-    proto, trial_word, float_words, trial_arg, shortest = _row_layout(
-        template, groups
-    )
-    all_digits, lstripped, rstripped = _digit_words()
-    decade, digits, printed = _fixed_digits(values, shortest)
-
-    # Deleting the NULs from the words of a row leaves the row as printed.
-    row = np.empty((count, len(proto)), np.uint32)
-    row[:] = proto
-    trial = np.arange(first_trial, first_trial + count)
-    shown = np.zeros(count, bool)
-    for j, group in enumerate(_base_10000(trial, groups)):
-        row[:, trial_word + j] = np.where(
-            shown, all_digits[group], lstripped[group]
-        )
-        shown |= group > 0
-    fields = np.empty((*values.shape, 5), np.uint32)
-    leading, *rest = _base_10000(digits, 5)
-    fields[..., 0] = _ZEROS_AND_DIGIT[10 * decade + leading]
-    shown = np.zeros(digits.shape, bool)
-    for j in range(3, -1, -1):
-        fields[..., 1 + j] = np.where(
-            shown, all_digits[rest[j]], rstripped[rest[j]]
-        )
-        shown |= rest[j] > 0
-    for f, word in enumerate(float_words):
-        row[:, word : word + 5] = fields[:, f]
-
+    row, printed, trial_arg = _row_words(template, first_trial, values)
     pieces = []
     done = 0
     for i in np.flatnonzero(~printed.all(axis=1)).tolist() + [count]:
@@ -537,6 +529,44 @@ def _render_rows(template: str, first_trial: int, values: np.ndarray) -> str:
             pieces.append(template % tuple(args))
         done = i + 1
     return "".join(pieces)
+
+
+def _row_words(
+    template: str, first_trial: int, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The words of :func:`_render_rows`' rows, one row of words per row
+    of ``values`` (deleting their NULs leaves the row as printed), the mask
+    of the floats printed from them, and the place of the ``%d`` among the
+    template's conversions. The digit arrays die on return, before the
+    rows are joined into text."""
+    count = len(values)
+    groups = -(-len(str(first_trial + count - 1)) // 4)
+    proto, trial_word, float_words, trial_arg, shortest = _row_layout(
+        template, groups
+    )
+    all_digits, lstripped, rstripped = _digit_words()
+    decade, digits, printed = _fixed_digits(values, shortest)
+
+    row = np.empty((count, len(proto)), np.uint32)
+    row[:] = proto
+    trial = np.arange(first_trial, first_trial + count)
+    shown = np.zeros(count, bool)
+    for j, group in enumerate(_base_10000(trial, groups)):
+        row[:, trial_word + j] = np.where(
+            shown, all_digits[group], lstripped[group]
+        )
+        shown |= group > 0
+    # the five digit words of each float, one word column at a time
+    word = np.array(float_words)
+    leading, *rest = _base_10000(digits, 5)
+    row[:, word] = _ZEROS_AND_DIGIT[10 * decade + leading]
+    shown = np.zeros(digits.shape, bool)
+    for j in range(3, -1, -1):
+        row[:, word + 1 + j] = np.where(
+            shown, all_digits[rest[j]], rstripped[rest[j]]
+        )
+        shown |= rest[j] > 0
+    return row, printed, trial_arg
 
 
 def _sweep_row_blocks(

@@ -124,6 +124,28 @@ def test_eval_rejects_negative_levels(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value, message",
+    [
+        (["dist", "--structure", "c1"], "--pmf", "-0.5,1.5",
+         "entry 0 is negative (-0.5)"),
+        (["dominance", "--structure", "c1", "--pmf", "0.5,0.5"],
+         "--pmf-prime", "-0.5,1.5", "entry 0 is negative (-0.5)"),
+        (["eval", "--structure", "series(c1, c2)"], "--state", "-1,2",
+         "levels must be non-negative, got (-1, 2)"),
+    ],
+    ids=["pmf", "pmf-prime", "state"],
+)
+def test_number_list_starting_with_minus_gets_its_diagnosis(
+    capsys, argv, flag, value, message
+):
+    # a separate value that starts with a minus sign is not taken for an
+    # option: it gets the same line as the attached form
+    for given in ([flag, value], [f"{flag}={value}"]):
+        code, out, err = invoke(capsys, *argv, *given)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_ucv(capsys):
     code, out, _ = invoke(
         capsys, "ucv", "--structure", "parallel(c1, c2)",

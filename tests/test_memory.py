@@ -48,19 +48,26 @@ the space: at ``{0..4}^10`` (9,765,625 vectors) it must stay within 4 MB,
 and it peaks at about 2.1 MB. Building the full level table first peaked
 at 11.7 MB there, and at about 4.5 bytes per vector over ``{0..4}^8``.
 
-Monte-Carlo must stay within 20 bytes per draw (one uniform per component
-per trial) over one 65,536-trial chunk of the benchmark's 10-component
-read-once tree: the draws take 8, and the tree is evaluated on one byte
-per draw, which peaks at 10.0. Building int64 state vectors and
-evaluating the multistate tree on them peaked at 21.6. Three chunks stay
-within the same 20 bytes per draw of one chunk, at 11.1: every chunk is
-drawn into one buffer. A fresh array per chunk kept two chunks' draws
-alive at once and peaked at 17.1.
+Monte-Carlo draws its uniforms in blocks of 1 MiB (13,107 trials of the
+benchmark's 10-component read-once tree), never fewer than 4,096 trials,
+and compares each block straight into one reused component-major 0/1
+buffer, so its peak grows with neither the sample count nor, beyond the
+4,096-trial floor, the component count. It must stay within 20 bytes per
+draw over 65,536 trials of that tree, and over three times as many: both
+peak at 1.97 (1.29 MB). Fixed 65,536-trial blocks peaked at 10.0 and
+11.1, with a fresh comparison array and its transposed copy per block;
+building int64 state vectors and evaluating the multistate tree on them
+peaked at 21.6. At 1e6 samples it must stay within 2 MB (1.29 MB; fixed
+blocks took 7.28 MB). A 200-component series at 1e5 samples must stay
+within 10 MB: it peaks at 7.5 MB with 4,096-trial blocks, where one
+65,536-trial block of its draws alone took 105 MB (131.9 MB peak).
 
 The CSV export and the ``--json`` document of a 1e5-trial sweep must
 each peak at no more than 12 MB. Both render a fixed block of rows at a
-time, so their peaks do not grow with the trial count: 2.2 and 2.9 MB
-with 4,096-row blocks. Formatting 65,536-row blocks through a tuple of
+time, so their peaks do not grow with the trial count: 1.5 and 1.9 MB
+with 4,096-row blocks (2.2 and 2.9 while each block's digit words went
+through a separate array and the two-product's sums made a temporary
+each). Formatting 65,536-row blocks through a tuple of
 Python objects per field peaked at 19.2 MB, and the JSON document built
 as one string through a ``%r`` template at 37.6 MB. Each block's rows
 are drawn from the seed into one reused buffer just before they are
@@ -127,6 +134,11 @@ MC_TREE = parse_expr(
 )
 MC_SAMPLES = 1 << 16
 MC_BYTES_PER_DRAW = 20
+MC_MANY_SAMPLES = 10**6
+MC_MANY_PEAK_BYTES = 2 * 10**6
+MC_WIDE_N = 200
+MC_WIDE_SAMPLES = 10**5
+MC_WIDE_PEAK_BYTES = 10 * 10**6
 
 EXACT_PEAK_BYTES = 4 * 10**6
 
@@ -196,13 +208,31 @@ def test_monte_carlo_peak_bytes_per_draw():
 
 
 def test_monte_carlo_peak_flat_in_chunks():
-    # three chunks, bounded per draw of one chunk: the draws go into one
-    # buffer, so no chunk's draws are alive next to the previous ones
+    # three times the trials, bounded per draw of the first count: the
+    # draws go into one buffer, so no block's draws are alive next to the
+    # previous ones
     dists = load_case_study("default").distributions
     samples = 3 * MC_SAMPLES
     peak = peak_bytes(lambda: monte_carlo_cdf(MC_TREE, dists, 2, samples, 7))
     per_draw = peak / (MC_SAMPLES * len(dists))
     assert per_draw <= MC_BYTES_PER_DRAW, f"{per_draw:.1f} B/draw"
+
+
+def test_monte_carlo_peak_flat_in_samples():
+    dists = load_case_study("default").distributions
+    peak = peak_bytes(
+        lambda: monte_carlo_cdf(MC_TREE, dists, 2, MC_MANY_SAMPLES, 7)
+    )
+    assert peak <= MC_MANY_PEAK_BYTES, f"{peak / 1e6:.2f} MB"
+
+
+def test_monte_carlo_wide_tree_peak_bounded_per_block():
+    expr = series(*(component(i) for i in range(1, MC_WIDE_N + 1)))
+    dists = [(0.001, 0.999)] * MC_WIDE_N
+    peak = peak_bytes(
+        lambda: monte_carlo_cdf(expr, dists, 0, MC_WIDE_SAMPLES, 7)
+    )
+    assert peak <= MC_WIDE_PEAK_BYTES, f"{peak / 1e6:.1f} MB"
 
 
 def test_exact_peak_flat_in_space_size():

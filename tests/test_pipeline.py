@@ -294,6 +294,25 @@ def test_sweep_preconditions():
         sweep_state1(failing_mass, 5, 1)
 
 
+def test_complete_failure_refused_with_one_message():
+    spec = PipelineSpec(
+        2,
+        (
+            Segment("a", ComponentDistribution((0.0, 0.5, 0.5))),
+            Segment("b", ComponentDistribution((0.0, 0.5, 0.5))),
+            Segment("c", ComponentDistribution((0.25, 0.5, 0.25))),
+        ),
+    )
+    want = (
+        "segment 'c' has nonzero complete-failure mass 0.25; the state-1 "
+        "closed form does not apply"
+    )
+    for refuse in (pipeline_state1_cdf, lambda s: sweep_state1(s, 5, 1)):
+        with pytest.raises(PreconditionViolatedError) as err:
+            refuse(spec)
+        assert str(err.value) == want
+
+
 # Closed-form values on the shipped specs, recorded before the product
 # forms were folded into one recursion and compared with ``==``: per spec,
 # pipeline_cdf at levels 0..4 (the series closed form), the parallel

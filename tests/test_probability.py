@@ -22,6 +22,8 @@ from mscs.errors import (
     PreconditionViolatedError,
 )
 from mscs.probability import (
+    _MC_BLOCK_BYTES,
+    _MC_BLOCK_MIN_TRIALS,
     ORACLE_TOLERANCE,
     ComponentDistribution,
     SystemDistribution,
@@ -38,8 +40,10 @@ from mscs.structure import (
     Component,
     KOutOfN,
     arity,
+    component,
     eval_expr_batch,
     format_expr,
+    k_out_of_n,
     parallel,
     parse_expr,
     series,
@@ -389,7 +393,8 @@ ZERO_MASS = (0.25, 0.0, 0.375, 0.0, 0.375)
 # reproduced with ==: the benchmark's read-once and shared trees, a nested
 # koon with a shared component, more PMFs than the tree references, PMFs
 # with zero-mass levels, the top level (several of those CDFs end an ulp
-# below 1), and sample counts on both sides of the 2**16-trial chunk.
+# below 1), and sample counts on both sides of 2**16, several blocks of
+# draws each.
 MC_PINS = [
     (READ_ONCE, 10, 4, False, 0, 65_537, 101, 0.7750888810900712),
     (READ_ONCE, 10, 4, False, 2, 65_535, 102, 0.9996337834744793),
@@ -422,7 +427,8 @@ def test_monte_carlo_estimate_bit_identical(
 
 def test_monte_carlo_matches_inverse_transform_on_random_trees():
     # shared components, spare PMFs, zero-mass levels and every level, the
-    # top one included; samples straddle the 2**16-trial chunk
+    # top one included; samples fill part of one block of draws or span
+    # several
     rnd = random.Random(7)
     rng = np.random.default_rng(7)
     for case in range(200):
@@ -442,6 +448,27 @@ def test_monte_carlo_matches_inverse_transform_on_random_trees():
             want = inverse_transform_cdf(expr, dists, level, samples, seed)
             got = monte_carlo_cdf(expr, dists, level, samples, seed).estimate
             assert got == want, (format_expr(expr), max_state, level, seed)
+
+
+@pytest.mark.parametrize(
+    "n, block",
+    # 1 MiB of draws is 13,107 trials of 10 components; at 40 components
+    # it is 3,276, below the 4,096-trial floor
+    [(10, 13_107), (40, 4_096)],
+)
+def test_monte_carlo_matches_inverse_transform_at_block_edges(n, block):
+    assert max(_MC_BLOCK_BYTES // (8 * n), _MC_BLOCK_MIN_TRIALS) == block
+    rng = np.random.default_rng(n)
+    dists = [random_pmf(rng, 3) for _ in range(n)]
+    expr = parallel(
+        series(*(component(i) for i in range(1, n // 2 + 1))),
+        k_out_of_n(n // 4, *(component(i) for i in range(n // 2 + 1, n + 1))),
+    )
+    for samples in (block - 1, block, block + 1, 2 * block + 1):
+        for level in range(4):
+            want = inverse_transform_cdf(expr, dists, level, samples, 3)
+            got = monte_carlo_cdf(expr, dists, level, samples, 3).estimate
+            assert got == want, (samples, level)
 
 
 # Exact PMF/CDF floats pinned bit for bit: every vector weight is a
