@@ -7,13 +7,13 @@ component (``np.unravel_index`` recovers a vector from it). All
 consumers iterate in this one fixed order, which keeps counterexamples and
 accumulated sums deterministic.
 
-Exact sums are accumulated in fixed chunks of ``2**16`` vectors, and
-both of their inputs come in those chunks, cut by one helper: per-vector
-weights, built block by block, and the levels of an expression tree,
-built by broadcasting over slabs of at most ``2**20`` vectors (one uint8
-byte per vector), so their memory does not grow with the space. A full
-level table (:func:`level_table`) is filled from those chunks for a
-tree, and by calling a callable once per vector.
+The levels of an expression tree stream one slab at a time: every
+vector that shares one tuple of leading digits, at most ``2**20`` of
+them (one uint8 byte per vector), built by broadcasting. Per-vector
+weights stream in fixed chunks of ``2**16`` vectors, the unit of the
+exact sum's accumulation. Neither grows with the space. A full level
+table (:func:`level_table`) is filled slab by slab for a tree, and by
+calling a callable once per vector.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ LIMIT_ENV_VAR = "MSCS_LIMIT"
 
 _CHUNK = 1 << 16
 
-# most vectors whose levels iter_level_chunks evaluates at once
+# most vectors in one slab of iter_level_slabs
 _SLAB = 1 << 20
 
 # largest radix whose weight blocks grow one digit column at a time; above
@@ -131,48 +131,19 @@ def _digit_matrix(lo: int, hi: int, n_components: int, radix: int) -> np.ndarray
     return digits
 
 
-def _cut_chunks(
-    total: int, block: int, build: Callable[[int, int], np.ndarray]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(first_flat_index, values)`` for the flat indices
-    0..total-1 in lexicographic order, in chunks of ``2**16`` vectors, cut
-    from blocks of ``block`` consecutive vectors; ``build(first, stop)``
-    returns the flat values of blocks first..stop-1.
-
-    A chunk inside the blocks built last is a view of them. A chunk that
-    starts inside the last block built and runs past it either rebuilds
-    that block, when it is shorter than a chunk (cheaper than a copy), or
-    joins its tail to the head of the next block, which is built once.
-    """
-    values, start = None, 0
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        end = start if values is None else start + values.size
-        if hi > end:
-            stop = (hi - 1) // block + 1
-            if lo < end and block >= _CHUNK:
-                tail = values[lo - start :]
-                values, start = build(end // block, stop), end
-                yield lo, np.concatenate((tail, values[: hi - end]))
-                continue
-            first = lo // block
-            values, start = build(first, stop), first * block
-        yield lo, values[lo - start : hi - start]
-
-
 def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(first_flat_index, weights)`` in lexicographic order, in
     chunks of ``2**16`` vectors, where the weight of vector x is
     ``pmf[0][x1] * pmf[1][x2] * ...`` multiplied left to right (one row of
     ``pmf_matrix`` per component).
 
-    Each chunk is cut from a block of whole trailing axes: the
-    left-to-right products of the leading entries, extended one trailing
-    axis at a time. For small radices the extension fills one digit column
-    per pass (``weights * pmf[d]``, so the inner loop runs over the long
-    axis); otherwise it is ``np.multiply.outer``. Both form the same single
-    products, so the weights are bit-identical. Memory stays a small
-    multiple of the chunk whatever the space size.
+    Each chunk is sliced from the blocks of whole trailing axes that cover
+    it: the left-to-right products of the leading entries, extended one
+    trailing axis at a time. For small radices the extension fills one
+    digit column per pass (``weights * pmf[d]``, so the inner loop runs
+    over the long axis); otherwise it is ``np.multiply.outer``. Both form
+    the same single products, so the weights are bit-identical. Memory
+    stays a small multiple of the chunk whatever the space size.
     """
     n_components, radix = pmf_matrix.shape
     total = StateSpace(radix - 1).size(n_components)
@@ -181,10 +152,11 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     trailing = 0
     while trailing < n_components and radix ** (trailing + 2) <= _CHUNK:
         trailing += 1
-    leading = n_components - trailing
-
-    def build(first: int, stop: int) -> np.ndarray:
-        digits = _digit_matrix(first, stop, leading, radix)
+    leading, block = n_components - trailing, radix**trailing
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        first = lo // block
+        digits = _digit_matrix(first, (hi - 1) // block + 1, leading, radix)
         weights = np.ones(digits.shape[0])
         for col in range(leading):
             weights *= pmf_matrix[col, digits[:, col]]
@@ -196,26 +168,25 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
                 weights = grown.reshape(-1)
             else:
                 weights = np.multiply.outer(weights, pmf).reshape(-1)
-        return weights
-
-    return _cut_chunks(total, radix**trailing, build)
+        yield lo, weights[lo - first * block : hi - first * block]
 
 
-def iter_level_chunks(
+def iter_level_slabs(
     expr: StructureExpr, n_components: int, max_state: int
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(first_flat_index, levels)`` of an expression tree over
-    ``{0..max_state}^n_components`` in lexicographic order, in the chunks
-    of :func:`iter_weight_chunks`: uint8 system levels, one per vector.
+    """``(first_flat_index, levels)`` of an expression tree over
+    ``{0..max_state}^n_components`` in lexicographic order, one slab at a
+    time: uint8 system levels, one per vector.
 
-    This is the one evaluator of a tree over a whole space. Levels are
-    evaluated one slab at a time: the trailing components span at most
-    ``2**20`` vectors, component ``ci`` as ``arange(max_state+1)`` laid
-    along axis ``i-1`` so the nodes combine by broadcasting, and the
-    leading ones are fixed to the slab's digits. Every largest
-    subtree that reads trailing components only is evaluated once per
-    call, not once per slab. Memory stays a small multiple of a slab
-    whatever the space size.
+    This is the one evaluator of a tree over a whole space. A slab holds
+    every vector that shares one tuple of leading digits: the trailing
+    components span at most ``2**20`` vectors, component ``ci`` as
+    ``arange(max_state+1)`` laid along axis ``i-1`` so the nodes combine
+    by broadcasting, and the leading ones are fixed to the slab's digits.
+    The call itself checks the covers and evaluates every largest subtree
+    that reads trailing components only, once per call, not once per slab;
+    the generator it returns then yields the slabs. Memory stays a small
+    multiple of a slab whatever the space size.
     """
     _check_covers(expr, n_components)
     radix = max_state + 1
@@ -231,17 +202,15 @@ def iter_level_chunks(
     tree = _hoist_trailing(expr, leading, axes)
     shape = (radix,) * trailing
 
-    def build(first: int, stop: int) -> np.ndarray:
-        slabs = []
-        for digits in _digit_matrix(first, stop, leading, radix):
-            axes[:leading] = levels[digits]
-            slab = _eval_grid(tree, axes)
+    def slabs() -> Iterator[tuple[int, np.ndarray]]:
+        digit_tuples = itertools.product(levels, repeat=leading)
+        for first, digits in enumerate(digit_tuples):
+            axes[:leading] = digits
+            slab = np.broadcast_to(_eval_grid(tree, axes), shape)
             # a copy only when the slab is broadcast from a smaller shape
-            slabs.append(np.broadcast_to(slab, shape).reshape(-1))
-        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
+            yield first * slab.size, slab.reshape(-1)
 
-    total = StateSpace(max_state).size(n_components)
-    return _cut_chunks(total, radix**trailing, build)
+    return slabs()
 
 
 def _hoist_trailing(
@@ -270,17 +239,17 @@ def level_table(
     """System level for every vector of the space, flat, lexicographic.
 
     Expression trees fill a uint8 table (levels never exceed the 255 state
-    ceiling) chunk by chunk from :func:`iter_level_chunks`, the slabs the
-    exact distribution reads; arbitrary callables are called once per
-    vector, in that order, straight into an int64 table. The limit is
-    checked before anything is allocated. Coherence passes read it for a
-    tree's binary image and for a callable's full space.
+    ceiling) slab by slab from :func:`iter_level_slabs`; arbitrary
+    callables are called once per vector, in that order, straight into an
+    int64 table. The limit is checked before anything is allocated.
+    Coherence passes read it for a tree's binary image and for a
+    callable's full space.
     """
     size = ensure_enumerable(n_components, max_state, limit)
     if isinstance(structure, StructureExpr):
-        chunks = iter_level_chunks(structure, n_components, max_state)
+        slabs = iter_level_slabs(structure, n_components, max_state)
         table = np.empty(size, dtype=np.uint8)
-        for lo, levels in chunks:
+        for lo, levels in slabs:
             table[lo : lo + levels.size] = levels
         return table
     vectors = itertools.product(range(max_state + 1), repeat=n_components)

@@ -28,7 +28,7 @@ import numpy as np
 from .core import _check_level, _check_max_state
 from .enumeration import (
     ensure_enumerable,
-    iter_level_chunks,
+    iter_level_slabs,
     iter_weight_chunks,
 )
 from .errors import (
@@ -235,24 +235,29 @@ def exact_system_distribution(
     """Exact system distribution by full enumeration of the state space.
 
     Every vector's probability is the product of its component PMF entries
-    (independence), multiplied left to right. Weights and levels come in
-    the same chunks of ``2**16`` vectors (:func:`iter_weight_chunks`,
-    :func:`iter_level_chunks`) and are summed per level with
-    ``np.bincount`` in one fixed lexicographic order, so the accumulated
-    sums are deterministic. No full-space array is allocated: memory
-    stays at a slab of levels and a chunk of weights (about 2 MB at
-    5^10 vectors).
+    (independence), multiplied left to right. Weights come in chunks of
+    ``2**16`` vectors (:func:`iter_weight_chunks`) and levels in slabs
+    (:func:`iter_level_slabs`); each chunk's levels are a view of one slab,
+    or joined from the slab pieces it spans where it crosses a slab edge.
+    Each chunk is summed per level with ``np.bincount``, in one fixed
+    lexicographic order, so the accumulated sums are deterministic. No
+    full-space array is allocated: memory stays at a slab of levels and a
+    chunk of weights (about 2 MB at 5^10 vectors).
     """
     family = _system_family(expr, dists)
     n_components, max_state = len(family), family[0].max_state
     ensure_enumerable(n_components, max_state, limit)
     pmf_matrix = np.asarray([d.pmf for d in family])  # n x (max_state+1)
     acc = np.zeros(max_state + 1)
-    chunks = zip(
-        iter_level_chunks(expr, n_components, max_state),
-        iter_weight_chunks(pmf_matrix),
-    )
-    for (_, levels), (_, weights) in chunks:
+    slabs = iter_level_slabs(expr, n_components, max_state)
+    rest = np.empty(0, dtype=np.uint8)  # the unsummed tail of the last slab
+    for _, weights in iter_weight_chunks(pmf_matrix):
+        levels, rest = rest[: weights.size], rest[weights.size :]
+        while levels.size < weights.size:
+            _, slab = next(slabs)
+            cut = weights.size - levels.size
+            head, rest = slab[:cut], slab[cut:]
+            levels = np.concatenate((levels, head)) if levels.size else head
         acc += np.bincount(levels, weights=weights, minlength=max_state + 1)
     return SystemDistribution.from_pmf(acc.tolist())
 

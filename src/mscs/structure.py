@@ -33,6 +33,7 @@ from .errors import (
     EmptyVectorError,
     InvalidKError,
     ParseError,
+    PreconditionViolatedError,
 )
 
 
@@ -141,7 +142,9 @@ def kind_evaluator(kind: Kind) -> Callable[[Sequence[int]], int]:
         return eval_series
     if kind == "parallel":
         return eval_parallel
-    raise ValueError(f"kind must be 'series' or 'parallel', got {kind!r}")
+    raise PreconditionViolatedError(
+        f"kind must be 'series' or 'parallel', got {kind!r}"
+    )
 
 
 def _indices(expr: StructureExpr) -> list[int]:
@@ -380,15 +383,19 @@ class _Parser:
                 tok.offset,
             )
         self._advance()
-        if tok.text in ("series", "parallel", "koon") and depth == MAX_NESTING:
-            raise self._fail(
-                f"operators nest deeper than {MAX_NESTING} levels", tok.offset
-            )
-        if tok.text in ("series", "parallel"):
+        if tok.text in ("series", "parallel", "koon"):
+            if depth == MAX_NESTING:
+                raise self._fail(
+                    f"operators nest deeper than {MAX_NESTING} levels",
+                    tok.offset,
+                )
             self._expect("lparen", "'('")
+            if tok.text == "koon":
+                k = self._positive_int()
+                self._expect("semi", "';'")
             children = [self._expr(depth + 1)]
             comma = self._peek()
-            if comma.kind != "comma":
+            if comma.kind != "comma" and tok.text != "koon":
                 raise self._fail(
                     f"expected ',' ({tok.text} needs at least two children)",
                     comma.offset,
@@ -397,22 +404,10 @@ class _Parser:
                 self._advance()
                 children.append(self._expr(depth + 1))
             self._expect("rparen", "')' or ','")
+            if tok.text == "koon":
+                return KOutOfN(k, tuple(children))
             node = Series if tok.text == "series" else Parallel
             return node(tuple(children))
-        if tok.text == "koon":
-            self._expect("lparen", "'('")
-            k = self._positive_int()
-            self._expect("semi", "';'")
-            children = [self._expr(depth + 1)]
-            while self._peek().kind == "comma":
-                self._advance()
-                children.append(self._expr(depth + 1))
-            self._expect("rparen", "')' or ','")
-            if k > len(children):
-                raise InvalidKError(
-                    f"k={k} exceeds the {len(children)} children given"
-                )
-            return KOutOfN(k, tuple(children))
         m = _COMPONENT_RE.match(tok.text)
         if m:
             index = int(m.group(1))

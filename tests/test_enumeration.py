@@ -10,7 +10,7 @@ from conftest import oracle_eval, oracle_space, random_expr, random_pmf
 from mscs.enumeration import (
     _CHUNK,
     _digit_matrix,
-    iter_level_chunks,
+    iter_level_slabs,
     iter_weight_chunks,
     level_table,
 )
@@ -85,21 +85,21 @@ def table_levels(expr, n, max_state):
 
 
 def assert_streams_table(expr, n, max_state, seed):
-    """The streamed level chunks equal the table's slices, in the weights'
-    chunks, and the exact distribution equals the table's per-chunk
+    """The level slabs tile the table in order, each equal to its slice,
+    and the exact distribution equals the table's per-weight-chunk
     ``np.bincount`` sums under ``==``."""
     table = table_levels(expr, n, max_state)
+    end = 0
+    for lo, slab in iter_level_slabs(expr, n, max_state):
+        assert lo == end and slab.dtype == np.uint8
+        assert np.array_equal(slab, table[lo : lo + slab.size])
+        end = lo + slab.size
+    assert end == table.size
     rng = np.random.default_rng(seed)
     dists = [random_pmf(rng, max_state) for _ in range(n)]
-    weights = list(iter_weight_chunks(np.asarray(dists)))
-    levels = list(iter_level_chunks(expr, n, max_state))
-    assert [lo for lo, _ in levels] == [lo for lo, _ in weights]
     acc = np.zeros(max_state + 1)
-    for (lo, chunk), (_, mass) in zip(levels, weights):
-        assert chunk.dtype == np.uint8
-        assert np.array_equal(chunk, table[lo : lo + mass.size])
+    for lo, mass in iter_weight_chunks(np.asarray(dists)):
         acc += np.bincount(table[lo : lo + mass.size], mass, max_state + 1)
-    assert sum(chunk.size for _, chunk in levels) == table.size
     got = exact_system_distribution(expr, dists)
     assert got.pmf == tuple(acc.tolist())
 
@@ -121,9 +121,8 @@ def test_level_chunks_match_level_table(monkeypatch, chunk, max_state, max_index
         assert_streams_table(expr, n, max_state, case)
 
 
-# 3^8 and 5^6 vectors in slabs of 3^6 and 5^4: a 2^12-vector chunk spans
-# several slabs and ends inside one, and a 2^8-vector chunk joins a slab's
-# tail to the next slab's head
+# 3^8 and 5^6 vectors in slabs of 3^6 and 5^4: the table is filled slab by
+# slab, so the chunk size the exact sum reads in must not matter
 @pytest.mark.parametrize("chunk", [1 << 12, 1 << 8])
 @pytest.mark.parametrize("n, max_state", [(8, 2), (6, 4)])
 def test_level_table_fills_across_slabs(monkeypatch, chunk, n, max_state):
@@ -193,3 +192,28 @@ def test_trailing_subtree_evaluated_once_per_call(monkeypatch):
     exact_system_distribution(expr, dists)
     assert sum(calls) == 1
     assert len(calls) > 25  # every slab did go through the counter
+
+
+def test_each_slab_evaluated_once(monkeypatch):
+    # at M = 200 a slab of 201^2 vectors is shorter than a 2^16-vector
+    # chunk, so each chunk spans two or three; each of the 201 slabs is still
+    # evaluated once, and the hoisted series(c2, c3) once before them
+    expr = parse_expr("parallel(c1, series(c2, c3))")
+    eval_grid = enumeration._eval_grid
+    calls = []
+
+    def counting(node, axes):
+        calls.append(node)
+        return eval_grid(node, axes)
+
+    monkeypatch.setattr(enumeration, "_eval_grid", counting)
+    rng = np.random.default_rng(200)
+    dists = [random_pmf(rng, 200) for _ in range(3)]
+    got = exact_system_distribution(expr, dists)
+    assert len(calls) == 1 + 201
+    monkeypatch.undo()
+    table = level_table(expr, 3, 200)
+    acc = np.zeros(201)
+    for lo, mass in iter_weight_chunks(np.asarray(dists)):
+        acc += np.bincount(table[lo : lo + mass.size], mass, 201)
+    assert got.pmf == tuple(acc.tolist())

@@ -13,6 +13,7 @@ from conftest import (
     random_pmf,
     random_read_once_expr,
 )
+from mscs.coherence import composition_comparison, redundancy_comparison
 from mscs.errors import (
     ArityMismatchError,
     HypothesisViolatedError,
@@ -93,6 +94,8 @@ def test_system_distribution_accumulates():
         SystemDistribution.from_pmf((0.5, 0.4))
     with pytest.raises(InvalidPMFError):
         SystemDistribution.from_pmf((-0.1, 1.1))
+    with pytest.raises(InvalidPMFError):
+        SystemDistribution.from_pmf([])
     assert sd.cdf_at(1) == 0.75
     for level in (-1, 3):
         with pytest.raises(LevelOutOfRangeError):
@@ -118,6 +121,8 @@ def test_exact_validation():
         )
     with pytest.raises(InvalidPMFError):
         exact_system_distribution(c1, [ComponentDistribution((0.5, 0.6))])
+    with pytest.raises(TypeError):
+        exact_system_distribution("c1", [FAIR])
 
 
 def test_one_level_family_refused_by_every_analysis():
@@ -303,6 +308,29 @@ def test_dominance_hypothesis_violated():
     worse = [FAIR, FAIR]
     with pytest.raises(HypothesisViolatedError):
         dominance_check(series(c1, c2), worse, better)
+    with pytest.raises(LengthMismatchError):
+        dominance_check(series(c1, c2), better + [FAIR], worse)
+
+
+def test_closed_forms_refuse_empty_family():
+    for call in (closed_form_cdf, cdf_bounds):
+        with pytest.raises(LengthMismatchError):
+            call("series", [], 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: closed_form_cdf(kind, [FAIR], 0),
+        lambda kind: cdf_bounds(kind, [FAIR], 0),
+        lambda kind: redundancy_comparison(kind, (0, 1), (1, 0)),
+        lambda kind: composition_comparison(kind, (0, 1), (1, 0)),
+    ],
+    ids=["closed_form_cdf", "cdf_bounds", "redundancy", "composition"],
+)
+def test_bad_kind_refused_as_domain_error(call):
+    with pytest.raises(PreconditionViolatedError, match="'serial'"):
+        call("serial")
 
 
 def test_monte_carlo_accuracy_and_determinism():

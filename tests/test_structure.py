@@ -93,6 +93,8 @@ def test_arity():
     assert arity(series(c1, c3)) == 3
     assert arity(c1) == 1
     assert arity(parallel(c2, c2)) == 2
+    with pytest.raises(TypeError):
+        arity("c1")
 
 
 def test_node_invariants():
@@ -165,6 +167,12 @@ def test_parse_error_positions_exact():
         parse_expr("series(c1)")
     assert err.value.position == 10  # the ')' where ',' was required
     with pytest.raises(ParseError) as err:
+        parse_expr("parallel(c1 c2)")
+    assert err.value.position == 13  # the 'c2' where ',' was required
+    assert err.value.message == (
+        "expected ',' (parallel needs at least two children)"
+    )
+    with pytest.raises(ParseError) as err:
         parse_expr("")
     assert err.value.position == 1
 
@@ -190,6 +198,8 @@ def test_format_examples():
         format_expr(series(c1, parallel(c2, c3)))
         == "series(c1, parallel(c2, c3))"
     )
+    with pytest.raises(TypeError):
+        format_expr("c1")
 
 
 def test_parse_format_round_trip_seeded():
