@@ -44,6 +44,7 @@ from .enumeration import (
     _ensure_within_limit,
     ensure_enumerable,
     level_table,
+    resolve_limit,
 )
 from .errors import (
     LevelOutOfRangeError,
@@ -422,9 +423,8 @@ def is_upper_critical(
     if not StateSpace(max_state).contains(vec):
         raise LevelOutOfRangeError(f"vector {vec} outside the state space")
     _check_level(level, max_state)
-    _ensure_within_limit(
-        f"down-set of {vec}", math.prod(v + 1 for v in vec), limit
-    )
+    down_set = math.prod(v + 1 for v in vec)
+    _ensure_within_limit(f"down-set of {vec}", down_set, resolve_limit(limit))
     fn = as_level_function(structure, len(vec))
     if int(fn(vec)) != level:
         return False

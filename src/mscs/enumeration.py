@@ -96,11 +96,10 @@ def ensure_enumerable(
     return _ensure_within_limit("state space", size, bound)
 
 
-def _ensure_within_limit(what: str, size: int | str, limit: int | None) -> int:
+def _ensure_within_limit(what: str, size: int | str, bound: int) -> int:
     """``size``, the vector count of ``what`` (the state space, a down-set),
-    refused with :class:`ExplosionLimitError` past the limit; a count too
-    large to build comes as its text and is always refused."""
-    bound = resolve_limit(limit)
+    refused with :class:`ExplosionLimitError` past the resolved ``bound``; a
+    count too large to build comes as its text and is always refused."""
     if isinstance(size, int) and size <= bound:
         return size
     raise ExplosionLimitError(

@@ -131,8 +131,8 @@ class SweepResult:
     ) -> tuple[range, list[float], list[float], list[float]]:
         """Trial numbers and the three float columns of rows
         ``start:stop`` as Python values; only those rows are drawn."""
-        stop = self.trials if stop is None else min(stop, self.trials)
-        start = min(start, stop)
+        stop = self.trials if stop is None else min(max(stop, 0), self.trials)
+        start = min(max(start, 0), stop)
         p_1_1, p_2_1, performance = [], [], []
         for _, d, p in self._blocks(start, stop):
             p_1_1 += d[:, 0].tolist()

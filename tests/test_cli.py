@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -22,6 +23,8 @@ from mscs.structure import MAX_NESTING
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CASE_STUDY = str(case_study_path())
 ABOVE = str(case_study_path("above_average"))
+# the benchmark's read-once tree
+READ_ONCE = "series(c1, parallel(c2, c3), koon(2; c4, c5, c6), c7, c8, c9, c10)"
 
 
 def invoke(capsys, *argv):
@@ -62,6 +65,12 @@ def test_coherence_json_schema(capsys):
     assert code == 0
     doc = check_schema("coherence.schema.json", json.loads(out))
     assert doc["overall"] is True
+    # a tree is checked through its binary image
+    code, out, _ = invoke(
+        capsys, "coherence", "--structure", READ_ONCE, "--max-state", "4",
+        "--json",
+    )
+    assert code == 0 and json.loads(out)["overall"] is True
 
 
 def test_coherence_failure_exit_code(capsys):
@@ -163,6 +172,11 @@ def test_ucv_json(capsys):
     assert code == 0
     doc = check_schema("ucv.schema.json", json.loads(out))
     assert doc["vectors"] == [[1, 1]] and doc["count"] == 1
+    code, out, _ = invoke(
+        capsys, "ucv", "--structure", READ_ONCE, "--max-state", "4",
+        "--level", "2", "--json",
+    )
+    assert code == 0 and json.loads(out)["count"] == 6
 
 
 def test_dist_exact_table(capsys):
@@ -497,7 +511,9 @@ def test_pipeline_sweep_json_bytes_match_json_dumps(capsys, scenario):
     spec = load_pipeline_spec(path)
     for trials in (1, 2, 10_000):
         # 7, 11, 23 and 42 are the benchmark's pinned sweep seeds
-        for seed in (0, 7, 11, 23, 42, 2**32 + 5):
+        # 11026 draws 4.97e-06 in its first trial, a row the %r template
+        # renders
+        for seed in (0, 7, 11, 23, 42, 11026, 2**32 + 5):
             code, out, err = invoke(
                 capsys, "pipeline", "sweep", "--spec", path,
                 "--trials", str(trials), "--seed", str(seed), "--json",
@@ -515,6 +531,8 @@ def test_pipeline_sweep_json_bytes_match_json_dumps(capsys, scenario):
                 f"{want_rows[first:first + 1]}"
             )
             assert out == want
+            if seed == 11026:
+                assert "e-06, " in out
             if seed == 7:
                 check_schema("pipeline_sweep.schema.json", json.loads(out))
 
@@ -690,10 +708,87 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "3"
 
 
-def _cap_address_space():
-    import resource
+@functools.cache
+def _import_vm_peak():
+    """VmPeak, in bytes, of a fresh interpreter once it has imported
+    ``mscs.cli``: the address space every capped child starts from."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mscs.cli\n"
+         "print(next(line.split()[1] for line in open('/proc/self/status')"
+         " if line.startswith('VmPeak:')))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(proc.stdout) << 10
 
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+def _cap_address_space(budget=None):
+    """A ``preexec_fn`` that caps the child's address space at 1 GiB, or at
+    the import's VmPeak plus ``budget`` bytes: a regression fails the test
+    rather than taking the test runner down with it."""
+    cap = 1 << 30 if budget is None else _import_vm_peak() + budget
+
+    def preexec():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return preexec
+
+
+def _run_capped(budget, *argv):
+    """The JSON document ``python -m mscs`` prints for ``argv`` within the
+    import's address space plus ``budget`` bytes."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "mscs", *argv, "--json"],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in os.environ.items() if k != "MSCS_LIMIT"},
+        preexec_fn=_cap_address_space(budget),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_exact_distribution_streams_within_capped_address_space():
+    # 5^12 vectors, whose level table alone would take 233 MiB: the levels
+    # stream slab by slab within the import plus 256 MiB
+    rest = ", ".join(f"c{i}" for i in range(7, 13))
+    doc = _run_capped(
+        256 << 20, "dist", "--structure",
+        f"series(c1, parallel(c2, c3), koon(2; c4, c5, c6), {rest})",
+        "--pmf", "0.1,0.2,0.3,0.25,0.15", "--limit", "300000000",
+    )
+    assert abs(doc["cdf"][-1] - 1) <= 1e-9
+
+
+def test_wide_koon_coherence_within_capped_address_space():
+    # a tree's binary image (2^24 entries) is filled from the exact path's
+    # slabs within the import plus 256 MiB, where evaluating the koon node
+    # over the whole image at once would hold 24 copies of it
+    comps = ", ".join(f"c{i}" for i in range(1, 25))
+    doc = _run_capped(
+        256 << 20, "coherence", "--structure", f"koon(12; {comps})",
+        "--max-state", "1",
+    )
+    assert doc["overall"] is True
+
+
+def test_monte_carlo_wide_series_within_capped_address_space():
+    # draws come 1 MiB a block, never fewer than 4,096 trials, so 1000
+    # components run within the import plus 128 MiB, where a 65,536-trial
+    # block of their draws alone would take 524 MB
+    comps = ", ".join(f"c{i}" for i in range(1, 1001))
+    doc = _run_capped(
+        128 << 20, "dist", "--method", "mc", "--structure", f"series({comps})",
+        "--pmf", "0.001,0.999", "--level", "0", "--samples", "100000",
+    )
+    exact = 1 - 0.999**1000
+    sigma = (exact * (1 - exact) / doc["samples"]) ** 0.5
+    assert abs(doc["estimate"] - exact) <= 5 * sigma
 
 
 @pytest.mark.parametrize(
@@ -717,7 +812,7 @@ def test_huge_component_index_exits_2_before_allocating(command):
         capture_output=True,
         text=True,
         env={k: v for k, v in os.environ.items() if k != "MSCS_LIMIT"},
-        preexec_fn=_cap_address_space,
+        preexec_fn=_cap_address_space(),
         timeout=60,
     )
     assert proc.returncode == 2, proc.stderr[-500:]
@@ -750,7 +845,7 @@ def test_out_of_memory_exits_2_with_one_line(command):
         [sys.executable, "-m", "mscs", *command],
         capture_output=True,
         text=True,
-        preexec_fn=_cap_address_space,
+        preexec_fn=_cap_address_space(),
         timeout=60,
     )
     assert_one_line_error(proc.returncode, proc.stdout, proc.stderr)
@@ -759,10 +854,10 @@ def test_out_of_memory_exits_2_with_one_line(command):
 
 def test_sweep_streams_huge_trial_count_within_capped_address_space(capsys):
     # 10^11 trials as columns would take 2.4 TB; the rows are drawn from
-    # the seed a block at a time, so they stream within the capped address
-    # space. The child is killed once the header and 10,000 rows are read:
-    # an unread pipe holds it back, where capture_output would buffer the
-    # whole stream
+    # the seed a block at a time, so they stream within the import plus
+    # 64 MiB. The reader closes the pipe after the header and 10,000 rows,
+    # as `head` does (capture_output would buffer the whole stream), and
+    # the command then ends with 0 and nothing on stderr
     _, want, _ = invoke(
         capsys, "pipeline", "sweep", "--spec", ABOVE, "--trials", "10000",
         "--seed", "1",
@@ -771,20 +866,23 @@ def test_sweep_streams_huge_trial_count_within_capped_address_space(capsys):
         [sys.executable, "-m", "mscs", "pipeline", "sweep", "--spec", ABOVE,
          "--trials", "100000000000", "--seed", "1"],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
-        preexec_fn=_cap_address_space,
+        preexec_fn=_cap_address_space(64 << 20),
     )
     watchdog = threading.Timer(60, proc.kill)
     watchdog.start()
     try:
         got = [proc.stdout.readline() for _ in range(10_001)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
     finally:
         watchdog.cancel()
         proc.kill()
         proc.wait()
-        proc.stdout.close()
     assert "".join(got) == want
+    assert proc.returncode == 0
+    assert err == ""
 
 
 # stdout buffered, as it is for a pipe unless PYTHONUNBUFFERED is set
@@ -802,7 +900,7 @@ def test_closed_stdout_exits_0_with_no_message(extra):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=BUFFERED_ENV,
-        preexec_fn=_cap_address_space,
+        preexec_fn=_cap_address_space(64 << 20),
     )
     try:
         head = proc.stdout.read(1000)  # the header and a few rows
@@ -955,6 +1053,11 @@ REFUSALS = {
         ["pipeline", "analyze", "--level", "1", "--spec"],
         '{"max_state": 1, "segments": [3]}',
     ),
+    # the koon node refuses k, the parser a series of one child
+    "koon_k_past_children": (
+        ["eval", "--structure", "koon(3; c1, c2)", "--state", "1,1"], None
+    ),
+    "series_of_one_child": (["eval", "--structure", "series(c1)", "--state", "1"], None),
     "dominance_max_state_mismatch": (
         [
             "dominance", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",

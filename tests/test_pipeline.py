@@ -419,19 +419,17 @@ def oracle_sweep_csv(spec, trials, seed):
 def test_sweep_csv_and_stdout_match_per_row_oracle(
     tmp_path, capsys, trials, seed
 ):
-    above = load_case_study("above_average")
-    result = sweep_state1(above, trials, seed)
-    want = oracle_sweep_csv(above, trials, seed)
+    want = oracle_sweep_csv(load_case_study("above_average"), trials, seed)
     if seed == 11026:
         assert "e-06," in want.splitlines()[1]
+    sweep = ["pipeline", "sweep", "--spec", str(case_study_path("above_average")),
+             "--trials", str(trials), "--seed", str(seed)]
+    # the --out file and the stdout rows come from one writer
     path = tmp_path / "sweep.csv"
-    export_results(result, path)
+    assert run_cli([*sweep, "--out", str(path)]) == 0
+    capsys.readouterr()
     assert path.read_bytes() == want.encode()
-    code = run_cli(
-        ["pipeline", "sweep", "--spec", str(case_study_path("above_average")),
-         "--trials", str(trials), "--seed", str(seed)]
-    )
-    assert code == 0
+    assert run_cli(sweep) == 0
     assert capsys.readouterr().out == want
 
 
@@ -458,6 +456,15 @@ def test_sweep_columns_rows_and_equality():
     assert result != sweep_state1(above, trials - 1, 5)
     assert result != sweep_state1(load_case_study("below_average"), trials, 5)
     assert result != (5, trials, result.held_product)
+
+
+def test_sweep_columns_clamp_bounds_into_trials():
+    # a bound outside 0..trials is clamped, as a slice is not: no row is
+    # drawn from before the stream or numbered below 1
+    result = sweep_state1(load_case_study("above_average"), 5, 5)
+    assert result.columns(-2, 3) == result.columns(0, 3)
+    trials, *values = result.columns(-5, -1)
+    assert len(trials) == 0 and values == [[], [], []]
 
 
 def test_sweep_argmax_returns_first_of_tied_maxima():
