@@ -122,18 +122,18 @@ def test_level_chunks_match_level_table(monkeypatch, chunk, max_state, max_index
 
 
 # 3^8 and 5^6 vectors in slabs of 3^6 and 5^4: the table is filled slab by
-# slab; 8 random trees per space, from two seeds
+# slab; 4 random trees per space and seed
+@pytest.mark.parametrize("seed", [1 << 12, 1 << 8])
 @pytest.mark.parametrize("n, max_state", [(8, 2), (6, 4)])
-def test_level_table_fills_across_slabs(monkeypatch, n, max_state):
+def test_level_table_fills_across_slabs(monkeypatch, seed, n, max_state):
     monkeypatch.setattr(enumeration, "_SLAB", 1 << 10)
-    for seed in (4096 + n, 256 + n):
-        rnd = random.Random(seed)
-        for _ in range(4):
-            expr = random_expr(rnd, max_depth=4, max_index=n)
-            table = level_table(expr, n, max_state)
-            assert table.dtype == np.uint8
-            want = [oracle_eval(expr, x) for x in oracle_space(n, max_state)]
-            assert table.tolist() == want
+    rnd = random.Random(seed + n)
+    for _ in range(4):
+        expr = random_expr(rnd, max_depth=4, max_index=n)
+        table = level_table(expr, n, max_state)
+        assert table.dtype == np.uint8
+        want = [oracle_eval(expr, x) for x in oracle_space(n, max_state)]
+        assert table.tolist() == want
 
 
 @pytest.mark.parametrize(
