@@ -42,8 +42,8 @@ from .core import (
 )
 from .enumeration import (
     _ensure_within_limit,
+    _fill_table,
     ensure_enumerable,
-    level_table,
     resolve_limit,
 )
 from .errors import (
@@ -203,7 +203,12 @@ def check_monotonicity(
 
     On failure, returns the lexicographically least violating pair (x, y).
     """
-    return _monotonicity(structure, n_components, max_state, limit)
+    if isinstance(structure, StructureExpr):
+        ensure_enumerable(n_components, max_state, limit)
+        _check_covers(structure, n_components)
+        return _monotonicity(structure, None)
+    table = _level_grid(structure, n_components, max_state, limit)
+    return _monotonicity(structure, table)
 
 
 def _level_grid(
@@ -213,31 +218,21 @@ def _level_grid(
     limit: int | None,
 ) -> np.ndarray:
     """The level table every coherence pass reads, one axis per component:
-    a tree's binary image over ``{0, 1}^n``, or a callable's full space,
-    both from :func:`level_table`. Both get the same guard and arity
-    checks, in the same order."""
+    a tree's binary image over ``{0, 1}^n``, or a callable's full space.
+    The guard counts the full space for both."""
+    size = ensure_enumerable(n_components, max_state, limit)
     if isinstance(structure, StructureExpr):
-        ensure_enumerable(n_components, max_state, limit)
-        max_state = 1  # the binary image
-    table = level_table(structure, n_components, max_state, limit)
+        max_state, size = 1, 2**n_components  # the binary image
+    table = _fill_table(structure, n_components, max_state, size)
     return table.reshape((max_state + 1,) * n_components)
 
 
 def _monotonicity(
-    structure: StructureFunction,
-    n_components: int,
-    max_state: int,
-    limit: int | None,
-    table: np.ndarray | None = None,
+    structure: StructureFunction, table: np.ndarray | None
 ) -> MonotonicityResult:
-    """A tree is monotone by the lemma: it gets the guard and arity checks
-    and no table. A callable's ``table``, built when None, is searched."""
+    """A tree is monotone by the lemma; a callable's ``table`` is searched."""
     if isinstance(structure, StructureExpr):
-        ensure_enumerable(n_components, max_state, limit)
-        _check_covers(structure, n_components)
         return MonotonicityResult(True)
-    if table is None:
-        table = _level_grid(structure, n_components, max_state, limit)
     # suffix minima along each axis compose to the minimum over the
     # componentwise up-set of every vector; ``view[i, ...]`` stays a
     # writable view even when the table has a single axis
@@ -355,7 +350,7 @@ def coherence_report(
     return CoherenceReport(
         n_components,
         max_state,
-        _monotonicity(structure, n_components, max_state, limit, table),
+        _monotonicity(structure, table),
         _relevance_from_table(table, max_state),
         check_boundary(structure, n_components, max_state),
     )

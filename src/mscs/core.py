@@ -59,10 +59,6 @@ class StateSpace:
     def __post_init__(self) -> None:
         _check_max_state(self.max_state)
 
-    @property
-    def levels(self) -> range:
-        return range(self.max_state + 1)
-
     def contains(self, vector: Sequence[int]) -> bool:
         return len(vector) > 0 and all(0 <= v <= self.max_state for v in vector)
 

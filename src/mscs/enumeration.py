@@ -19,8 +19,9 @@ calling a callable once per vector.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .structure import (
     Component,
     KOutOfN,
     StructureExpr,
+    StructureFunction,
     _check_covers,
     _eval_grid,
     _indices,
@@ -82,8 +84,9 @@ def ensure_enumerable(
     """Return the space size, refusing outright when it exceeds the limit.
 
     Checks n >= 1, then M (through :class:`StateSpace`, which also counts
-    the space), then the limit.
+    the space), then the limit. n and M may be numpy integers.
     """
+    n_components, max_state = map(operator.index, (n_components, max_state))
     if n_components < 1:
         raise LevelOutOfRangeError("n_components must be at least 1")
     space = StateSpace(max_state)
@@ -182,12 +185,11 @@ def iter_level_slabs(
     components span at most ``2**20`` vectors, component ``ci`` as
     ``arange(max_state+1)`` laid along axis ``i-1`` so the nodes combine
     by broadcasting, and the leading ones are fixed to the slab's digits.
-    The call itself checks the covers and evaluates every largest subtree
-    that reads trailing components only, once per call, not once per slab;
-    the generator it returns then yields the slabs. Memory stays a small
-    multiple of a slab whatever the space size.
+    The call itself evaluates every largest subtree that reads trailing
+    components only, once per call, not once per slab; the generator it
+    returns then yields the slabs. Memory stays a small multiple of a slab
+    whatever the space size. Callers check that n covers the tree.
     """
-    _check_covers(expr, n_components)
     radix = max_state + 1
     trailing = 0
     while trailing < n_components and radix ** (trailing + 1) <= _SLAB:
@@ -230,7 +232,7 @@ def _hoist_trailing(
 
 
 def level_table(
-    structure: StructureExpr | Callable[[Sequence[int]], int],
+    structure: StructureFunction,
     n_components: int,
     max_state: int,
     limit: int | None = None,
@@ -241,11 +243,18 @@ def level_table(
     ceiling) slab by slab from :func:`iter_level_slabs`; arbitrary
     callables are called once per vector, in that order, straight into an
     int64 table. The limit is checked before anything is allocated.
-    Coherence passes read it for a tree's binary image and for a
-    callable's full space.
     """
     size = ensure_enumerable(n_components, max_state, limit)
+    return _fill_table(structure, n_components, max_state, size)
+
+
+def _fill_table(
+    structure: StructureFunction, n_components: int, max_state: int, size: int
+) -> np.ndarray:
+    """:func:`level_table` of ``size`` vectors, after the caller's guard;
+    coherence passes fill a tree's binary image or a callable's space."""
     if isinstance(structure, StructureExpr):
+        _check_covers(structure, n_components)
         slabs = iter_level_slabs(structure, n_components, max_state)
         table = np.empty(size, dtype=np.uint8)
         for lo, levels in slabs:

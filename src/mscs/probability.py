@@ -45,8 +45,8 @@ from .structure import (
     Series,
     StructureExpr,
     _check_covers,
+    _eval_grid,
     _indices,
-    eval_expr_batch,
     kind_evaluator,
 )
 
@@ -447,7 +447,7 @@ def monte_carlo_cdf(
                 uniforms[first:stop].T, above[:, None], out=rows[:, first:stop]
             )
         # the tree's binary image on the events: 1 where the system exceeds
-        exceeds = eval_expr_batch(expr, rows[:, :count].view(np.uint8).T)
+        exceeds = _eval_grid(expr, list(rows[:, :count].view(np.uint8)))
         hits += count - int(np.count_nonzero(exceeds))
     estimate = hits / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -183,6 +184,33 @@ def test_explosion_guard():
         check_monotonicity(series(c1, c2), 2, 4, limit=10)
     with pytest.raises(ExplosionLimitError):
         enumerate_ucv(series(c1, c2), 2, 4, 1, limit=10)
+
+
+_GUARDED_TREE = parse_expr("parallel(series(c1, c3), koon(2; c1, c2, c3))")
+_GUARDED_CALLS = {
+    "coherence_report": lambda n, m: coherence_report(_GUARDED_TREE, n, m),
+    "check_monotonicity": lambda n, m: check_monotonicity(_GUARDED_TREE, n, m),
+    "enumerate_ucv": lambda n, m: enumerate_ucv(_GUARDED_TREE, n, m, 2),
+    "level_table": lambda n, m: level_table(_GUARDED_TREE, n, m).tolist(),
+}
+
+
+@pytest.mark.parametrize("call", list(_GUARDED_CALLS))
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize(
+    "numpy_n, numpy_m", [(True, False), (False, True), (True, True)]
+)
+def test_guard_accepts_numpy_integers(call, integer, numpy_n, numpy_m):
+    run = _GUARDED_CALLS[call]
+    n = integer(3) if numpy_n else 3
+    m = integer(2) if numpy_m else 2
+    assert run(n, m) == run(3, 2)
+
+
+@pytest.mark.parametrize("call", list(_GUARDED_CALLS))
+def test_guard_refuses_a_float_max_state(call):
+    with pytest.raises(TypeError):
+        _GUARDED_CALLS[call](3, 2.0)
 
 
 @pytest.mark.parametrize("limit", [-1, 1.5, True, "100"])

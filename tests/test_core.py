@@ -101,7 +101,6 @@ def test_empty_vectors_rejected():
 
 def test_state_space():
     space = StateSpace(2)
-    assert list(space.levels) == [0, 1, 2]
     assert space.size(3) == 27
     assert space.contains((0, 2, 1))
     assert not space.contains((0, 3))

@@ -1,12 +1,22 @@
 import functools
+import importlib
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import mscs
 import mscs.enumeration as enumeration
+import mscs.probability as probability
 import mscs.structure as structure
 from conftest import oracle_eval, oracle_space, random_expr, random_pmf
+from mscs.coherence import (
+    check_monotonicity,
+    check_relevance,
+    coherence_report,
+    enumerate_ucv,
+)
 from mscs.enumeration import (
     _CHUNK,
     _digit_matrix,
@@ -14,7 +24,7 @@ from mscs.enumeration import (
     iter_weight_chunks,
     level_table,
 )
-from mscs.probability import exact_system_distribution
+from mscs.probability import exact_system_distribution, monte_carlo_cdf
 from mscs.structure import Component, KOutOfN, Series, arity, parse_expr
 
 
@@ -216,3 +226,56 @@ def test_each_slab_evaluated_once(monkeypatch):
     for lo, mass in iter_weight_chunks(np.asarray(dists)):
         acc += np.bincount(table[lo : lo + mass.size], mass, 201)
     assert got.pmf == tuple(acc.tolist())
+
+
+def _count_calls(monkeypatch, original):
+    """Wrap ``original`` in every mscs module that binds it; the returned
+    list gets one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(mscs.__path__, "mscs."):
+        if info.name == "mscs.__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(info.name)
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
+_PASS_EXPR = parse_expr("parallel(series(c1, c3), koon(2; c1, c2, c3))")
+_PASS_DISTS = [(0.2, 0.3, 0.5)] * 3
+# three Monte-Carlo blocks, each a byte budget of 8-byte draws, 3 a trial
+_PASS_SAMPLES = 3 * (probability._MC_BLOCK_BYTES // 24)
+
+# (pass, guard calls, most arity checks): each exhaustive pass guards its
+# space once, at its entry, and no helper below it checks either again;
+# a coherence report checks arity in the image fill and in check_boundary
+_PASSES = {
+    "coherence_report": (lambda: coherence_report(_PASS_EXPR, 3, 2), 1, 2),
+    "check_monotonicity": (lambda: check_monotonicity(_PASS_EXPR, 3, 2), 1, 1),
+    "check_relevance": (lambda: check_relevance(_PASS_EXPR, 3, 2), 1, 1),
+    "enumerate_ucv": (lambda: enumerate_ucv(_PASS_EXPR, 3, 2, 1), 1, 1),
+    "level_table": (lambda: level_table(_PASS_EXPR, 3, 2), 1, 1),
+    "exact_system_distribution": (
+        lambda: exact_system_distribution(_PASS_EXPR, _PASS_DISTS), 1, 1
+    ),
+    "monte_carlo_cdf": (
+        lambda: monte_carlo_cdf(_PASS_EXPR, _PASS_DISTS, 1, _PASS_SAMPLES, 7),
+        0,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PASSES))
+def test_each_pass_guards_and_checks_arity_once(monkeypatch, name):
+    run, guards, most_covers = _PASSES[name]
+    guard_calls = _count_calls(monkeypatch, enumeration.ensure_enumerable)
+    cover_calls = _count_calls(monkeypatch, structure._check_covers)
+    run()
+    assert len(guard_calls) == guards
+    assert 1 <= len(cover_calls) <= most_covers
