@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,13 +203,14 @@ def check_monotonicity(
     """Verify that raising any component never lowers the system level.
 
     On failure, returns the lexicographically least violating pair (x, y).
+    A tree is monotone by the lemma, once its space is guarded.
     """
+    n_components, max_state = map(operator.index, (n_components, max_state))
     if isinstance(structure, StructureExpr):
         ensure_enumerable(n_components, max_state, limit)
         _check_covers(structure, n_components)
-        return _monotonicity(structure, None)
-    table = _level_grid(structure, n_components, max_state, limit)
-    return _monotonicity(structure, table)
+        return MonotonicityResult(True)
+    return _monotonicity(_level_grid(structure, n_components, max_state, limit))
 
 
 def _level_grid(
@@ -227,12 +229,8 @@ def _level_grid(
     return table.reshape((max_state + 1,) * n_components)
 
 
-def _monotonicity(
-    structure: StructureFunction, table: np.ndarray | None
-) -> MonotonicityResult:
-    """A tree is monotone by the lemma; a callable's ``table`` is searched."""
-    if isinstance(structure, StructureExpr):
-        return MonotonicityResult(True)
+def _monotonicity(table: np.ndarray) -> MonotonicityResult:
+    """Search a callable's full ``table`` for a violating pair."""
     # suffix minima along each axis compose to the minimum over the
     # componentwise up-set of every vector; ``view[i, ...]`` stays a
     # writable view even when the table has a single axis
@@ -268,6 +266,7 @@ def check_relevance(
 ) -> tuple[RelevanceEntry, ...]:
     """For every component and level, search for a context in which only
     that component's level produces that system level."""
+    n_components, max_state = map(operator.index, (n_components, max_state))
     table = _level_grid(structure, n_components, max_state, limit)
     return _relevance_from_table(table, max_state)
 
@@ -306,7 +305,11 @@ def _relevance_from_table(
         for level in range(max_state + 1):
             context = contexts[min(level, top)]
             if context is None:
-                entries.append(_irrelevant(axis + 1, level))
+                note = (
+                    f"no context makes the system level {level} depend "
+                    f"on component {axis + 1} alone"
+                )
+                entries.append(RelevanceEntry(axis + 1, level, False, None, note))
                 continue
             scale = min(level + 1, max_state) if top == 1 else 1
             witness = tuple(scale * v for v in context)
@@ -314,21 +317,11 @@ def _relevance_from_table(
     return tuple(entries)
 
 
-def _irrelevant(component: int, level: int) -> RelevanceEntry:
-    return RelevanceEntry(
-        component,
-        level,
-        False,
-        None,
-        f"no context makes the system level {level} depend "
-        f"on component {component} alone",
-    )
-
-
 def check_boundary(
     structure: StructureFunction, n_components: int, max_state: int
 ) -> tuple[BoundaryEntry, ...]:
     """Constant vectors must map to their own level."""
+    n_components, max_state = map(operator.index, (n_components, max_state))
     StateSpace(max_state)
     fn = as_level_function(structure, n_components)
     entries = []
@@ -346,11 +339,13 @@ def coherence_report(
 ) -> CoherenceReport:
     """Run all three coherence checks; relevance, and a callable's
     monotonicity, read one table: a tree's binary image or a full space."""
+    n_components, max_state = map(operator.index, (n_components, max_state))
     table = _level_grid(structure, n_components, max_state, limit)
+    tree = isinstance(structure, StructureExpr)
     return CoherenceReport(
         n_components,
         max_state,
-        _monotonicity(structure, table),
+        MonotonicityResult(True) if tree else _monotonicity(table),
         _relevance_from_table(table, max_state),
         check_boundary(structure, n_components, max_state),
     )
@@ -452,6 +447,7 @@ def enumerate_ucv(
     the upper critical vectors are j times the binary ones to level 1, in
     the same order, and the zero vector is the only one to level 0.
     """
+    n_components, max_state = map(operator.index, (n_components, max_state))
     _check_level(level, max_state)
     table = _level_grid(structure, n_components, max_state, limit)
     return UCVSet(level, _ucv_from_table(table, level))

@@ -244,6 +244,7 @@ def level_table(
     callables are called once per vector, in that order, straight into an
     int64 table. The limit is checked before anything is allocated.
     """
+    n_components, max_state = map(operator.index, (n_components, max_state))
     size = ensure_enumerable(n_components, max_state, limit)
     return _fill_table(structure, n_components, max_state, size)
 

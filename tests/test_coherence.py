@@ -190,8 +190,10 @@ _GUARDED_TREE = parse_expr("parallel(series(c1, c3), koon(2; c1, c2, c3))")
 _GUARDED_CALLS = {
     "coherence_report": lambda n, m: coherence_report(_GUARDED_TREE, n, m),
     "check_monotonicity": lambda n, m: check_monotonicity(_GUARDED_TREE, n, m),
-    "enumerate_ucv": lambda n, m: enumerate_ucv(_GUARDED_TREE, n, m, 2),
-    "level_table": lambda n, m: level_table(_GUARDED_TREE, n, m).tolist(),
+    "check_relevance": lambda n, m: check_relevance(_GUARDED_TREE, n, m),
+    "check_boundary": lambda n, m: check_boundary(_GUARDED_TREE, n, m),
+    "enumerate_ucv": lambda n, m: enumerate_ucv(_GUARDED_TREE, n, m, min(m, 2)),
+    "level_table": lambda n, m: level_table(_GUARDED_TREE, n, m).tobytes(),
 }
 
 
@@ -200,11 +202,12 @@ _GUARDED_CALLS = {
 @pytest.mark.parametrize(
     "numpy_n, numpy_m", [(True, False), (False, True), (True, True)]
 )
-def test_guard_accepts_numpy_integers(call, integer, numpy_n, numpy_m):
+# n = 9 and M = 255 wrap in 8-bit arithmetic (2**n, M + 1) after the guard
+@pytest.mark.parametrize("n, m", [(3, 2), (9, 1), (3, 255)])
+def test_guard_accepts_numpy_integers(call, integer, numpy_n, numpy_m, n, m):
     run = _GUARDED_CALLS[call]
-    n = integer(3) if numpy_n else 3
-    m = integer(2) if numpy_m else 2
-    assert run(n, m) == run(3, 2)
+    expected = run(n, m)
+    assert run(integer(n) if numpy_n else n, integer(m) if numpy_m else m) == expected
 
 
 @pytest.mark.parametrize("call", list(_GUARDED_CALLS))
