@@ -326,7 +326,7 @@ def check_boundary(
     fn = as_level_function(structure, n_components)
     entries = []
     for level in range(max_state + 1):
-        value = int(fn(constant_vector(n_components, level)))
+        value = fn(constant_vector(n_components, level))
         entries.append(BoundaryEntry(level, value == level, value))
     return tuple(entries)
 
@@ -357,9 +357,8 @@ def structure_bounds(
     """(minimum entry, system level, maximum entry): for series, parallel
     and koon structures the middle value is sandwiched by the extremes."""
     vec = as_vector(x)
-    fn = as_level_function(structure, len(vec))
     low, high = extreme_levels(vec)
-    return low, int(fn(vec)), high
+    return low, as_level_function(structure, len(vec))(vec), high
 
 
 def redundancy_comparison(
@@ -394,8 +393,7 @@ def is_connection_vector(
 ) -> bool:
     """True iff the vector produces exactly this system level."""
     vec = as_vector(x)
-    fn = as_level_function(structure, len(vec))
-    return int(fn(vec)) == level
+    return as_level_function(structure, len(vec))(vec) == level
 
 
 def is_upper_critical(
@@ -409,20 +407,25 @@ def is_upper_critical(
     falls below it. A tree is monotone, so only the covering predecessors
     of x (one entry lowered by one) need checking; a callable is checked
     by brute force over the down-set of x."""
-    vec = as_vector(x)
-    if not StateSpace(max_state).contains(vec):
-        raise LevelOutOfRangeError(f"vector {vec} outside the state space")
-    _check_level(level, max_state)
+    vec = _in_space(x, max_state)
+    level = _check_level(level, max_state)
     down_set = math.prod(v + 1 for v in vec)
     _ensure_within_limit(f"down-set of {vec}", down_set, resolve_limit(limit))
     fn = as_level_function(structure, len(vec))
-    if int(fn(vec)) != level:
+    if fn(vec) != level:
         return False
     if isinstance(structure, StructureExpr):
         lower = (update_at(vec, i, v - 1) for i, v in enumerate(vec) if v)
     else:
         lower = itertools.product(*(range(v + 1) for v in vec))
-    return all(int(fn(below)) < level for below in lower if below != vec)
+    return all(fn(below) < level for below in lower if below != vec)
+
+
+def _in_space(x: StateVector, max_state: int) -> StateVector:
+    """``x`` as a state vector, refused outside ``{0..max_state}^n``."""
+    if not StateSpace(max_state).contains(vec := as_vector(x)):
+        raise LevelOutOfRangeError(f"vector {vec} outside the state space")
+    return vec
 
 
 def enumerate_ucv(
@@ -448,7 +451,7 @@ def enumerate_ucv(
     the same order, and the zero vector is the only one to level 0.
     """
     n_components, max_state = map(operator.index, (n_components, max_state))
-    _check_level(level, max_state)
+    level = _check_level(level, max_state)
     table = _level_grid(structure, n_components, max_state, limit)
     return UCVSet(level, _ucv_from_table(table, level))
 
@@ -494,7 +497,7 @@ def level_lower_bound_check(
     not above the critical one); for coherent structures it always holds.
     """
     critical = as_vector(ucv)
-    vec = as_vector(x)
+    vec = _in_space(x, max_state)
     if not is_upper_critical(structure, critical, level, max_state, limit):
         raise PreconditionViolatedError(
             f"{critical} is not an upper critical connection vector to "
@@ -502,5 +505,4 @@ def level_lower_bound_check(
         )
     if not leq(critical, vec):
         return True
-    fn = as_level_function(structure, len(vec))
-    return int(fn(vec)) >= level
+    return as_level_function(structure, len(vec))(vec) >= level

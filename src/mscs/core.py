@@ -36,10 +36,22 @@ def _check_max_state(max_state: int, enumerated: bool = True) -> None:
         )
 
 
-def _check_level(level: int, max_state: int) -> None:
-    """Refuse a level outside ``0..max_state``."""
-    if not 0 <= level <= max_state:
+def _as_level(value: object) -> int:
+    """The one rule for what a level is: an int, or a value equal to one
+    (``np.int8(2)``, ``True``, ``2.0``) as that int; anything else refused."""
+    try:
+        if (level := int(value)) == value:
+            return level
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise LevelOutOfRangeError(f"level must be an integer, got {value!r}")
+
+
+def _check_level(level: object, max_state: int) -> int:
+    """``level`` as an int, refused outside ``0..max_state``."""
+    if not 0 <= (level := _as_level(level)) <= max_state:
         raise LevelOutOfRangeError(f"level {level} outside 0..{max_state}")
+    return level
 
 
 def _nonempty(x: Sequence[int]) -> Sequence[int]:
@@ -68,8 +80,8 @@ class StateSpace:
 
 
 def as_vector(levels: Sequence[int]) -> StateVector:
-    """Coerce a level sequence to a state vector, rejecting empty input."""
-    vec = _nonempty(tuple(int(v) for v in levels))
+    """A level sequence as a state vector, refused when empty or negative."""
+    vec = _nonempty(tuple(map(_as_level, levels)))
     if any(v < 0 for v in vec):
         raise LevelOutOfRangeError(f"levels must be non-negative, got {vec}")
     return vec

@@ -35,6 +35,7 @@ from .structure import (
     _check_covers,
     _eval_grid,
     _indices,
+    as_level_function,
 )
 
 #: Default ceiling on the number of vectors any exhaustive pass may visit.
@@ -261,5 +262,6 @@ def _fill_table(
         for lo, levels in slabs:
             table[lo : lo + levels.size] = levels
         return table
+    fn = as_level_function(structure, n_components)
     vectors = itertools.product(range(max_state + 1), repeat=n_components)
-    return np.fromiter(map(structure, vectors), np.int64, count=size)
+    return np.fromiter(map(fn, vectors), np.int64, count=size)

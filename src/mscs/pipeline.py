@@ -33,7 +33,7 @@ from .probability import (
     PMF_TOLERANCE,
     ComponentDistribution,
     SystemDistribution,
-    _check_seed,
+    _check_counts,
     _uniform_blocks,
     closed_form_cdf,
     validate_pmf,
@@ -312,9 +312,7 @@ def sweep_state1(spec: PipelineSpec, trials: int, seed: int) -> SweepResult:
     Only the input is checked here, in O(1): the result is the sweep's
     recipe, and its rows are drawn a block at a time when they are read.
     """
-    if trials < 1:
-        raise PreconditionViolatedError("trials must be at least 1")
-    _check_seed(seed)
+    trials, seed = _check_counts(trials, "trials", seed)
     if spec.n_segments < 2:
         raise PreconditionViolatedError(
             "the sweep needs at least two segments to vary"

@@ -18,6 +18,7 @@ event is one draw compared with one CDF value.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -40,7 +41,6 @@ from .errors import (
 from .structure import (
     Component,
     Kind,
-    KOutOfN,
     Parallel,
     Series,
     StructureExpr,
@@ -118,8 +118,7 @@ class SystemDistribution:
 
     def cdf_at(self, level: int) -> float:
         """Probability that the system performs at or below ``level``."""
-        _check_level(level, self.max_state)
-        return self.cdf[level]
+        return self.cdf[_check_level(level, self.max_state)]
 
 
 @dataclass(frozen=True)
@@ -190,11 +189,16 @@ def _ensure_valid_family(
     return family
 
 
-def _check_seed(seed: int) -> None:
+def _check_counts(count: int, what: str, seed: int) -> tuple[int, int]:
+    """``count`` (of ``what``) and ``seed`` as ints, refused below 1 and 0."""
+    count, seed = map(operator.index, (count, seed))
+    if count < 1:
+        raise PreconditionViolatedError(f"{what} must be at least 1")
     if seed < 0:
         raise PreconditionViolatedError(
             f"seed must be a non-negative integer, got {seed}"
         )
+    return count, seed
 
 
 def _uniform_blocks(
@@ -213,8 +217,6 @@ def _uniform_blocks(
 def _system_family(
     expr: StructureExpr, dists: Sequence[DistributionLike]
 ) -> list[ComponentDistribution]:
-    if not isinstance(expr, StructureExpr):
-        raise TypeError("expr must be a StructureExpr")
     family = _ensure_valid_family(dists)
     _check_covers(expr, len(family))
     return family
@@ -223,8 +225,7 @@ def _system_family(
 def component_cdf(dist: DistributionLike, level: int) -> float:
     """Probability that the component state is at or below ``level``."""
     d = as_distribution(dist)
-    _check_level(level, d.max_state)
-    return math.fsum(d.pmf[: level + 1])
+    return math.fsum(d.pmf[: _check_level(level, d.max_state) + 1])
 
 
 def exact_system_distribution(
@@ -288,9 +289,7 @@ def _tree_cdf(expr: StructureExpr, values: Sequence[float]) -> float:
         return _series_cdf(children)
     if isinstance(expr, Parallel):
         return _parallel_cdf(children)
-    if isinstance(expr, KOutOfN):
-        return _koon_cdf(expr.k, children)
-    raise TypeError(f"not a structure expression: {expr!r}")
+    return _koon_cdf(expr.k, children)
 
 
 def closed_form_distribution(
@@ -421,13 +420,11 @@ def monte_carlo_cdf(
     tree is evaluated on these 0/1 events (its binary image), one byte per
     draw instead of a state vector.
     """
-    if samples < 1:
-        raise PreconditionViolatedError("samples must be at least 1")
-    _check_seed(seed)
+    samples, seed = _check_counts(samples, "samples", seed)
     family = _system_family(expr, dists)
     n = len(family)
     max_state = family[0].max_state
-    _check_level(level, max_state)
+    level = _check_level(level, max_state)
     cums = np.asarray([list(accumulate(d.pmf)) for d in family])
     # X_i > level exactly when u >= cums_i[level]; nothing exceeds the top
     # level, however far below 1 rounding left cums_i[max_state]

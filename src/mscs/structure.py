@@ -27,7 +27,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .core import _nonempty
+from .core import _as_level, _nonempty, as_vector
 from .errors import (
     ArityMismatchError,
     EmptyVectorError,
@@ -108,7 +108,8 @@ def k_out_of_n(k: int, *children: StructureExpr) -> KOutOfN:
 
 
 #: A structure function: an expression tree, or any callable mapping a state
-#: vector to a system level.
+#: vector to a system level: an integer, or a value equal to one (``2.0``,
+#: ``np.int8(2)``, ``True``), read through :func:`as_level_function`.
 StructureFunction = Union[StructureExpr, Callable[[Sequence[int]], int]]
 
 #: The two arrangements with product closed forms.
@@ -148,7 +149,8 @@ def kind_evaluator(kind: Kind) -> Callable[[Sequence[int]], int]:
 
 
 def _indices(expr: StructureExpr) -> list[int]:
-    """Every 1-based component index ``expr`` references, one per leaf."""
+    """Every 1-based component index ``expr`` references, one per leaf: the
+    one node-type check, which every pass runs before it walks a tree."""
     found, stack = [], [expr]
     while stack:
         node = stack.pop()
@@ -185,7 +187,7 @@ def eval_expr(expr: StructureExpr, x: Sequence[int]) -> int:
     a larger declared component set.
     """
     _check_covers(expr, len(x))
-    return _eval(expr, x)
+    return _eval(expr, as_vector(x))
 
 
 def _eval(expr: StructureExpr, x: Sequence[int]) -> int:
@@ -195,10 +197,7 @@ def _eval(expr: StructureExpr, x: Sequence[int]) -> int:
         return min(_eval(c, x) for c in expr.children)
     if isinstance(expr, Parallel):
         return max(_eval(c, x) for c in expr.children)
-    if isinstance(expr, KOutOfN):
-        vals = sorted(_eval(c, x) for c in expr.children)
-        return vals[len(vals) - expr.k]
-    raise TypeError(f"not a structure expression: {expr!r}")
+    return sorted(_eval(c, x) for c in expr.children)[-expr.k]  # koon
 
 
 def eval_expr_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
@@ -235,12 +234,10 @@ def _eval_grid(expr: StructureExpr, axes: list[np.ndarray]) -> np.ndarray:
                 out = op(_lay_out_inner(out, shape), value)
                 owned = isinstance(out, np.ndarray)
         return out
-    if isinstance(expr, KOutOfN):
-        values = [_eval_grid(c, axes) for c in expr.children]
-        stacked = np.stack(np.broadcast_arrays(*values), axis=-1)
-        pick = stacked.shape[-1] - expr.k
-        return np.partition(stacked, pick, axis=-1)[..., pick]
-    raise TypeError(f"not a structure expression: {expr!r}")
+    values = [_eval_grid(c, axes) for c in expr.children]  # koon
+    stacked = np.stack(np.broadcast_arrays(*values), axis=-1)
+    pick = stacked.shape[-1] - expr.k
+    return np.partition(stacked, pick, axis=-1)[..., pick]
 
 
 #: Entries a ufunc's innermost loop should cover on a large grid.
@@ -275,12 +272,14 @@ def _lay_out_inner(value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def as_level_function(
     structure: StructureFunction, n_components: int
 ) -> Callable[[Sequence[int]], int]:
-    """View any structure function as a plain vector-to-level callable."""
+    """View any structure function as a plain vector-to-level callable.
+    The one reader of a callable's value: it comes back an int, or is
+    refused with :class:`LevelOutOfRangeError` when it is not a level."""
     if isinstance(structure, StructureExpr):
         _check_covers(structure, n_components)
         return lambda x: _eval(structure, x)
     if callable(structure):
-        return structure
+        return lambda x: _as_level(structure(x))
     raise TypeError(f"not a structure function: {structure!r}")
 
 

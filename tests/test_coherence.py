@@ -354,6 +354,14 @@ def test_level_lower_bound_check():
         level_lower_bound_check(series(c1, c2), (2, 3), 2, (3, 3), 3)
 
 
+def test_level_lower_bound_check_refuses_a_vector_outside_the_space():
+    # the same check and message as the critical vector's
+    for ucv, x in (((9, 9), (1, 1)), ((1, 1), (9, 9))):
+        with pytest.raises(LevelOutOfRangeError) as err:
+            level_lower_bound_check(series(c1, c2), ucv, 1, x, 2)
+        assert str(err.value) == "vector (9, 9) outside the state space"
+
+
 def test_level_lower_bound_check_exhaustive_small():
     for expr, n in COHERENT:
         max_state = 2

@@ -1,7 +1,21 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mscs.coherence import (
+    check_boundary,
+    check_monotonicity,
+    check_relevance,
+    coherence_report,
+    enumerate_ucv,
+    is_connection_vector,
+    is_upper_critical,
+    level_lower_bound_check,
+    structure_bounds,
+)
 from mscs.core import (
     StateSpace,
     as_vector,
@@ -19,6 +33,15 @@ from mscs.errors import (
     LengthMismatchError,
     LevelOutOfRangeError,
 )
+from mscs.enumeration import level_table
+from mscs.probability import (
+    SystemDistribution,
+    cdf_bounds,
+    closed_form_cdf,
+    component_cdf,
+    monte_carlo_cdf,
+)
+from mscs.structure import Component, eval_expr, series
 
 levels = st.integers(min_value=0, max_value=6)
 
@@ -147,3 +170,59 @@ def test_update_overwrites(pair, a, b):
     x, _ = pair
     i = len(x) - 1
     assert update_at(update_at(x, i, a), i, b) == update_at(x, i, b)
+
+
+# --- the level rule: one conversion wherever a level enters ---
+
+SERIES = series(Component(1), Component(2))
+DISTS = [(0.2, 0.3, 0.5), (0.1, 0.6, 0.3)]
+
+
+def _planted(value):
+    """A callable over {0..2}^2 that returns ``value`` at (1, 1)."""
+    return lambda x: value if tuple(x) == (1, 1) else min(x)
+
+
+# each consumer as a function of the value it reads: a callable's value,
+# a state-vector entry, or a level argument
+LEVEL_CONSUMERS = {
+    "coherence_report": lambda v: coherence_report(_planted(v), 2, 2),
+    "check_monotonicity": lambda v: check_monotonicity(_planted(v), 2, 2),
+    "check_relevance": lambda v: check_relevance(_planted(v), 2, 2),
+    "check_boundary": lambda v: check_boundary(_planted(v), 2, 2),
+    "enumerate_ucv[callable]": lambda v: enumerate_ucv(_planted(v), 2, 2, 1),
+    "level_table": lambda v: level_table(_planted(v), 2, 2).tolist(),
+    "eval_expr": lambda v: eval_expr(SERIES, (v, 2)),
+    "structure_bounds": lambda v: structure_bounds(SERIES, (v, 2)),
+    "is_connection_vector": lambda v: is_connection_vector(SERIES, (v, 2), 1),
+    "is_upper_critical[vector]": lambda v: is_upper_critical(
+        SERIES, (v, 1), 1, 2
+    ),
+    "level_lower_bound_check": lambda v: level_lower_bound_check(
+        SERIES, (1, 1), 1, (v, 2), 2
+    ),
+    "enumerate_ucv[level]": lambda v: enumerate_ucv(SERIES, 2, 2, v),
+    "is_upper_critical[level]": lambda v: is_upper_critical(
+        SERIES, (2, 2), v, 2
+    ),
+    "monte_carlo_cdf": lambda v: monte_carlo_cdf(SERIES, DISTS, v, 1000, 7),
+    "cdf_at": lambda v: SystemDistribution.from_pmf((0.2, 0.3, 0.5)).cdf_at(v),
+    "component_cdf": lambda v: component_cdf(DISTS[0], v),
+    "closed_form_cdf": lambda v: closed_form_cdf("series", DISTS, v),
+    "cdf_bounds": lambda v: cdf_bounds("parallel", DISTS, v),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, math.nan, math.inf, "1"], ids=repr)
+@pytest.mark.parametrize("consumer", list(LEVEL_CONSUMERS))
+def test_non_integer_level_refused_by_every_consumer(consumer, value):
+    with pytest.raises(LevelOutOfRangeError, match="must be an integer"):
+        LEVEL_CONSUMERS[consumer](value)
+
+
+@pytest.mark.parametrize(
+    "value, twin", [(2.0, 2), (np.int8(2), 2), (np.True_, 1)], ids=repr
+)
+@pytest.mark.parametrize("consumer", list(LEVEL_CONSUMERS))
+def test_integral_level_read_as_its_int(consumer, value, twin):
+    assert LEVEL_CONSUMERS[consumer](value) == LEVEL_CONSUMERS[consumer](twin)

@@ -157,7 +157,7 @@ def test_level_table_fills_across_slabs(monkeypatch, seed, n, max_state):
         ("series(c1, c2)", 7, 3),
     ],
 )
-def test_level_chunks_broadcast_small_slabs(monkeypatch, text, n, max_state):
+def test_level_slabs_broadcast_small_slabs(monkeypatch, text, n, max_state):
     monkeypatch.setattr(enumeration, "_SLAB", 1 << 10)
     assert_streams_table(parse_expr(text), n, max_state, n)
 

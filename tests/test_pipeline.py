@@ -273,6 +273,16 @@ def test_sweep_single_trial():
     assert result.columns() == oracle_sweep_columns(above, 1, 0)
 
 
+def test_sweep_counts_converted_at_the_call():
+    above = load_case_study("above_average")
+    for trials, seed in ((10.5, 1), (10, 1.0)):
+        with pytest.raises(TypeError):
+            sweep_state1(above, trials, seed)
+    result = sweep_state1(above, np.int64(10), np.int64(1))
+    assert result == sweep_state1(above, 10, 1)
+    assert type(result.trials) is int and type(result.seed) is int
+
+
 def test_sweep_preconditions():
     above = load_case_study("above_average")
     with pytest.raises(PreconditionViolatedError):

@@ -350,6 +350,16 @@ def test_monte_carlo_validation():
         monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 0, 10, -1)
     with pytest.raises(PreconditionViolatedError):
         monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 0, 0, 1)
+
+
+def test_monte_carlo_counts_converted_at_the_call():
+    for samples, seed in ((10.5, 1), (10, 1.0)):
+        with pytest.raises(TypeError):
+            monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 0, samples, seed)
+    expr, dists = series(c1, c2), [FAIR, FAIR]
+    est = monte_carlo_cdf(expr, dists, 0, np.int64(10), np.int64(1))
+    assert est == monte_carlo_cdf(expr, dists, 0, 10, 1)
+    assert type(est.samples) is int and type(est.seed) is int
     with pytest.raises(LevelOutOfRangeError):
         monte_carlo_cdf(series(c1, c2), [FAIR, FAIR], 2, 10, 1)
 
