@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     StateSpace,
     StateVector,
+    _as_level,
     _check_level,
     as_vector,
     constant_vector,
@@ -393,7 +394,7 @@ def is_connection_vector(
 ) -> bool:
     """True iff the vector produces exactly this system level."""
     vec = as_vector(x)
-    return as_level_function(structure, len(vec))(vec) == level
+    return as_level_function(structure, len(vec))(vec) == _as_level(level)
 
 
 def is_upper_critical(
@@ -498,6 +499,7 @@ def level_lower_bound_check(
     """
     critical = as_vector(ucv)
     vec = _in_space(x, max_state)
+    level = _check_level(level, max_state)
     if not is_upper_critical(structure, critical, level, max_state, limit):
         raise PreconditionViolatedError(
             f"{critical} is not an upper critical connection vector to "

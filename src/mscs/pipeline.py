@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -64,9 +65,10 @@ class PipelineSpec:
 
     def __post_init__(self) -> None:
         try:
-            _check_max_state(self.max_state, enumerated=False)
+            max_state = _check_max_state(self.max_state, enumerated=False)
         except LevelOutOfRangeError as err:
             raise SpecFormatError(str(err)) from None
+        object.__setattr__(self, "max_state", max_state)
         if not self.segments:
             raise SpecFormatError("a pipeline needs at least one segment")
         for seg in self.segments:
@@ -259,6 +261,7 @@ def set_state1(
     top state so the PMF stays normalized. Infeasible overrides (residual
     below zero) are rejected.
     """
+    segment_number = operator.index(segment_number)
     if spec.max_state < 2:
         raise PreconditionViolatedError(
             "overriding state 1 needs max_state >= 2 so the residual mass "

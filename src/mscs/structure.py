@@ -20,6 +20,7 @@ component); koon takes at least one. Operators nest at most
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -27,11 +28,12 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .core import _as_level, _nonempty, as_vector
+from .core import _as_level, as_vector
 from .errors import (
     ArityMismatchError,
     EmptyVectorError,
     InvalidKError,
+    LevelOutOfRangeError,
     ParseError,
     PreconditionViolatedError,
 )
@@ -48,6 +50,7 @@ class Component(StructureExpr):
     index: int  # 1-based
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "index", operator.index(self.index))
         if self.index < 1:
             raise ArityMismatchError(
                 f"component index must be >= 1, got {self.index}"
@@ -82,6 +85,7 @@ class KOutOfN(StructureExpr):
     children: tuple[StructureExpr, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", operator.index(self.k))
         object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 1:
             raise EmptyVectorError("koon requires at least one child")
@@ -118,12 +122,12 @@ Kind = Literal["series", "parallel"]
 
 def eval_series(x: Sequence[int]) -> int:
     """System level of a series arrangement: the minimum component level."""
-    return min(_nonempty(x))
+    return min(as_vector(x))
 
 
 def eval_parallel(x: Sequence[int]) -> int:
     """System level of a parallel arrangement: the maximum component level."""
-    return max(_nonempty(x))
+    return max(as_vector(x))
 
 
 def eval_k_out_of_n(k: int, x: Sequence[int]) -> int:
@@ -132,7 +136,8 @@ def eval_k_out_of_n(k: int, x: Sequence[int]) -> int:
     k=1 reduces to parallel, k=n to series. Ties are resolved naturally by
     the ascending sort.
     """
-    n = len(_nonempty(x))
+    x, k = as_vector(x), operator.index(k)
+    n = len(x)
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside 1..{n}")
     return sorted(x)[n - k]
@@ -201,11 +206,14 @@ def _eval(expr: StructureExpr, x: Sequence[int]) -> int:
 
 
 def eval_expr_batch(expr: StructureExpr, states: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_expr` over the rows of a 2-D level matrix."""
+    """Vectorized :func:`eval_expr` over the rows of a 2-D level matrix:
+    integer or bool, with no negative entry."""
     states = np.asarray(states)
     if states.ndim != 2:
         raise ArityMismatchError("states must be a 2-D matrix of levels")
     _check_covers(expr, states.shape[1])
+    if states.dtype.kind not in "biu" or (states.size and states.min() < 0):
+        raise LevelOutOfRangeError("states must be non-negative integers")
     # column views broadcast against each other like grid axes
     return _eval_grid(expr, list(states.T))
 

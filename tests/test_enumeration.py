@@ -174,7 +174,7 @@ def test_level_slabs_broadcast_small_slabs(monkeypatch, text, n, max_state):
         ("koon(3; c21, series(c1, c20), parallel(c2, c3, c11), c4)", 21, 1),
     ],
 )
-def test_level_chunks_at_full_slab_size(text, n, max_state):
+def test_level_slabs_at_full_slab_size(text, n, max_state):
     assert_streams_table(parse_expr(text), n, max_state, n)
 
 
