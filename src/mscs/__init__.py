@@ -6,195 +6,28 @@ coherence conditions and the classical deterministic theorems, exact and
 product-form system performance distributions under independence with
 validated bounds, and a series-pipeline case study with a reproducible
 parameter sweep.
+
+Each public name is listed once, in the ``__all__`` of the module that
+defines it; this package republishes those lists as its own.
 """
 
-from .core import (
-    MAX_SUPPORTED_STATE,
-    StateSpace,
-    StateVector,
-    as_vector,
-    constant_vector,
-    extreme_levels,
-    join,
-    leq,
-    meet,
-    strictly_below,
-    update_at,
-)
-from .coherence import (
-    BoundaryEntry,
-    CoherenceReport,
-    MonotonicityResult,
-    RelevanceEntry,
-    UCVSet,
-    check_boundary,
-    check_monotonicity,
-    check_relevance,
-    coherence_report,
-    composition_comparison,
-    enumerate_ucv,
-    is_connection_vector,
-    is_upper_critical,
-    level_lower_bound_check,
-    redundancy_comparison,
-    structure_bounds,
-)
-from .enumeration import DEFAULT_ENUM_LIMIT, LIMIT_ENV_VAR
-from .errors import (
-    ArityMismatchError,
-    EmptyVectorError,
-    ExplosionLimitError,
-    HypothesisViolatedError,
-    IndexOutOfRangeError,
-    InvalidKError,
-    InvalidLimitError,
-    InvalidPMFError,
-    LengthMismatchError,
-    LevelOutOfRangeError,
-    MscsError,
-    ParseError,
-    PreconditionViolatedError,
-    SpecFormatError,
-)
-from .pipeline import (
-    PipelineSpec,
-    Segment,
-    SweepResult,
-    SweepRow,
-    case_study_path,
-    export_results,
-    load_case_study,
-    load_pipeline_spec,
-    pipeline_cdf,
-    pipeline_state1_cdf,
-    set_state1,
-    state1_performance,
-    sweep_state1,
-)
-from .probability import (
-    ComponentDistribution,
-    MonteCarloEstimate,
-    PmfDiagnostic,
-    SystemDistribution,
-    cdf_bounds,
-    closed_form_cdf,
-    closed_form_distribution,
-    component_cdf,
-    dominance_check,
-    exact_system_distribution,
-    monte_carlo_cdf,
-    validate_pmf,
-)
-from .structure import (
-    Component,
-    Kind,
-    KOutOfN,
-    Parallel,
-    Series,
-    StructureExpr,
-    StructureFunction,
-    arity,
-    component,
-    eval_expr,
-    eval_expr_batch,
-    eval_k_out_of_n,
-    eval_parallel,
-    eval_series,
-    format_expr,
-    k_out_of_n,
-    parallel,
-    parse_expr,
-    series,
-)
+from . import coherence, core, enumeration, errors, pipeline, probability, structure
+from .coherence import *
+from .core import *
+from .enumeration import *
+from .errors import *
+from .pipeline import *
+from .probability import *
+from .structure import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_SUPPORTED_STATE",
-    "DEFAULT_ENUM_LIMIT",
-    "LIMIT_ENV_VAR",
-    "StateSpace",
-    "StateVector",
-    "as_vector",
-    "constant_vector",
-    "extreme_levels",
-    "join",
-    "leq",
-    "meet",
-    "strictly_below",
-    "update_at",
-    "BoundaryEntry",
-    "CoherenceReport",
-    "MonotonicityResult",
-    "RelevanceEntry",
-    "UCVSet",
-    "check_boundary",
-    "check_monotonicity",
-    "check_relevance",
-    "coherence_report",
-    "composition_comparison",
-    "enumerate_ucv",
-    "is_connection_vector",
-    "is_upper_critical",
-    "level_lower_bound_check",
-    "redundancy_comparison",
-    "structure_bounds",
-    "ArityMismatchError",
-    "EmptyVectorError",
-    "ExplosionLimitError",
-    "HypothesisViolatedError",
-    "IndexOutOfRangeError",
-    "InvalidKError",
-    "InvalidLimitError",
-    "InvalidPMFError",
-    "LengthMismatchError",
-    "LevelOutOfRangeError",
-    "MscsError",
-    "ParseError",
-    "PreconditionViolatedError",
-    "SpecFormatError",
-    "PipelineSpec",
-    "Segment",
-    "SweepResult",
-    "SweepRow",
-    "case_study_path",
-    "export_results",
-    "load_case_study",
-    "load_pipeline_spec",
-    "pipeline_cdf",
-    "pipeline_state1_cdf",
-    "set_state1",
-    "state1_performance",
-    "sweep_state1",
-    "ComponentDistribution",
-    "MonteCarloEstimate",
-    "PmfDiagnostic",
-    "SystemDistribution",
-    "cdf_bounds",
-    "closed_form_cdf",
-    "closed_form_distribution",
-    "component_cdf",
-    "dominance_check",
-    "exact_system_distribution",
-    "monte_carlo_cdf",
-    "validate_pmf",
-    "Component",
-    "Kind",
-    "KOutOfN",
-    "Parallel",
-    "Series",
-    "StructureExpr",
-    "StructureFunction",
-    "arity",
-    "component",
-    "eval_expr",
-    "eval_expr_batch",
-    "eval_k_out_of_n",
-    "eval_parallel",
-    "eval_series",
-    "format_expr",
-    "k_out_of_n",
-    "parallel",
-    "parse_expr",
-    "series",
+    *core.__all__,
+    *coherence.__all__,
+    *enumeration.__all__,
+    *errors.__all__,
+    *pipeline.__all__,
+    *probability.__all__,
+    *structure.__all__,
 ]

@@ -21,6 +21,25 @@ the limit means the same for both routes.
 
 from __future__ import annotations
 
+__all__ = [
+    "BoundaryEntry",
+    "CoherenceReport",
+    "MonotonicityResult",
+    "RelevanceEntry",
+    "UCVSet",
+    "check_boundary",
+    "check_monotonicity",
+    "check_relevance",
+    "coherence_report",
+    "composition_comparison",
+    "enumerate_ucv",
+    "is_connection_vector",
+    "is_upper_critical",
+    "level_lower_bound_check",
+    "redundancy_comparison",
+    "structure_bounds",
+]
+
 import itertools
 import math
 import operator

@@ -8,6 +8,20 @@ pure and safe to call concurrently.
 
 from __future__ import annotations
 
+__all__ = [
+    "MAX_SUPPORTED_STATE",
+    "StateSpace",
+    "StateVector",
+    "as_vector",
+    "constant_vector",
+    "extreme_levels",
+    "join",
+    "leq",
+    "meet",
+    "strictly_below",
+    "update_at",
+]
+
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass

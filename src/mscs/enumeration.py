@@ -18,6 +18,8 @@ calling a callable once per vector.
 
 from __future__ import annotations
 
+__all__ = ["DEFAULT_ENUM_LIMIT", "LIMIT_ENV_VAR"]
+
 import itertools
 import operator
 import os

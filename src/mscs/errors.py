@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ArityMismatchError",
+    "EmptyVectorError",
+    "ExplosionLimitError",
+    "HypothesisViolatedError",
+    "IndexOutOfRangeError",
+    "InvalidKError",
+    "InvalidLimitError",
+    "InvalidPMFError",
+    "LengthMismatchError",
+    "LevelOutOfRangeError",
+    "MscsError",
+    "ParseError",
+    "PreconditionViolatedError",
+    "SpecFormatError",
+]
+
 
 class MscsError(Exception):
     """Base class for every domain error raised by this package."""

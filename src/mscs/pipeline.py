@@ -10,6 +10,22 @@ the first two are swept.
 
 from __future__ import annotations
 
+__all__ = [
+    "PipelineSpec",
+    "Segment",
+    "SweepResult",
+    "SweepRow",
+    "case_study_path",
+    "export_results",
+    "load_case_study",
+    "load_pipeline_spec",
+    "pipeline_cdf",
+    "pipeline_state1_cdf",
+    "set_state1",
+    "state1_performance",
+    "sweep_state1",
+]
+
 import json
 import math
 import operator

@@ -17,6 +17,21 @@ event is one draw compared with one CDF value.
 
 from __future__ import annotations
 
+__all__ = [
+    "ComponentDistribution",
+    "MonteCarloEstimate",
+    "PmfDiagnostic",
+    "SystemDistribution",
+    "cdf_bounds",
+    "closed_form_cdf",
+    "closed_form_distribution",
+    "component_cdf",
+    "dominance_check",
+    "exact_system_distribution",
+    "monte_carlo_cdf",
+    "validate_pmf",
+]
+
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
@@ -106,7 +121,8 @@ class SystemDistribution:
         if any(p < 0.0 for p in values):
             raise InvalidPMFError("system pmf has negative mass")
         cdf = tuple(accumulate(values))
-        if abs(cdf[-1] - 1.0) > PMF_TOLERANCE:
+        # written so that a NaN sum is refused too
+        if not abs(cdf[-1] - 1.0) <= PMF_TOLERANCE:
             raise InvalidPMFError(
                 f"system pmf sums to {cdf[-1]!r}, not 1 within {PMF_TOLERANCE}"
             )
@@ -224,8 +240,20 @@ def _system_family(
 
 def component_cdf(dist: DistributionLike, level: int) -> float:
     """Probability that the component state is at or below ``level``."""
-    d = as_distribution(dist)
-    return math.fsum(d.pmf[: _check_level(level, d.max_state) + 1])
+    d = _ensure_valid(dist)
+    return _cdf(d, _check_level(level, d.max_state))
+
+
+def _cdf(d: ComponentDistribution, level: int) -> float:
+    """:func:`component_cdf` of a validated ``d`` at a checked ``level``."""
+    return math.fsum(d.pmf[: level + 1])
+
+
+def _cdfs_at(dists: Sequence[DistributionLike], level: int) -> list[float]:
+    """Each component's CDF at ``level``, once the family is validated."""
+    family = _ensure_valid_family(dists)
+    level = _check_level(level, family[0].max_state)
+    return [_cdf(d, level) for d in family]
 
 
 def exact_system_distribution(
@@ -306,7 +334,7 @@ def closed_form_distribution(
             "is referenced more than once"
         )
     cdf = [
-        _tree_cdf(expr, [component_cdf(d, level) for d in family])
+        _tree_cdf(expr, [_cdf(d, level) for d in family])
         for level in range(family[0].max_state + 1)
     ]
     # rounding may let the CDF dip by an ulp; masses are clamped at zero
@@ -325,7 +353,7 @@ def closed_form_cdf(
     ``ORACLE_TOLERANCE``).
     """
     kind_evaluator(kind)  # validates the kind
-    values = [component_cdf(d, level) for d in _ensure_valid_family(dists)]
+    values = _cdfs_at(dists, level)
     return _series_cdf(values) if kind == "series" else _parallel_cdf(values)
 
 
@@ -343,7 +371,7 @@ def cdf_bounds(
     parallel the lower one is.
     """
     kind_evaluator(kind)
-    values = [component_cdf(d, level) for d in _ensure_valid_family(dists)]
+    values = _cdfs_at(dists, level)
     return _parallel_cdf(values), _series_cdf(values)
 
 
@@ -367,7 +395,7 @@ def _dominance(
     max_state = family[0].max_state
     for i, (d, dp) in enumerate(zip(family, primed)):
         for level in range(max_state + 1):
-            if component_cdf(d, level) < component_cdf(dp, level) - ORACLE_TOLERANCE:
+            if _cdf(d, level) < _cdf(dp, level) - ORACLE_TOLERANCE:
                 raise HypothesisViolatedError(
                     f"component {i + 1} violates CDF dominance at level "
                     f"{level}"

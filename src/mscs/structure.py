@@ -19,6 +19,28 @@ component); koon takes at least one. Operators nest at most
 
 from __future__ import annotations
 
+__all__ = [
+    "Component",
+    "Kind",
+    "KOutOfN",
+    "Parallel",
+    "Series",
+    "StructureExpr",
+    "StructureFunction",
+    "arity",
+    "component",
+    "eval_expr",
+    "eval_expr_batch",
+    "eval_k_out_of_n",
+    "eval_parallel",
+    "eval_series",
+    "format_expr",
+    "k_out_of_n",
+    "parallel",
+    "parse_expr",
+    "series",
+]
+
 import math
 import operator
 import re

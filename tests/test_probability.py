@@ -63,6 +63,16 @@ def test_component_cdf():
         component_cdf(d, 3)
 
 
+@pytest.mark.parametrize(
+    "pmf, level",
+    [((0.7, 0.7), 1), ((2.0, -1.0), 0), ((0.5, math.nan), 0)],
+    ids=["mass_1.4", "negative_mass", "nan"],
+)
+def test_component_cdf_refuses_an_invalid_pmf(pmf, level):
+    with pytest.raises(InvalidPMFError):
+        component_cdf(pmf, level)
+
+
 def test_validate_pmf():
     assert validate_pmf((0.2, 0.3, 0.5)) is None
     diag = validate_pmf((0.5, 0.6))
@@ -96,6 +106,9 @@ def test_system_distribution_accumulates():
         SystemDistribution.from_pmf((-0.1, 1.1))
     with pytest.raises(InvalidPMFError):
         SystemDistribution.from_pmf([])
+    for pmf in ([math.nan], [math.nan, 1.0]):
+        with pytest.raises(InvalidPMFError):
+            SystemDistribution.from_pmf(pmf)
     assert sd.cdf_at(1) == 0.75
     for level in (-1, 3):
         with pytest.raises(LevelOutOfRangeError):
