@@ -52,7 +52,8 @@ _CHUNK = 1 << 16
 _SLAB = 1 << 20
 
 # largest radix whose weight blocks grow one digit column at a time; above
-# it one np.multiply.outer is faster (measured break-even near radix 8)
+# it one np.multiply.outer is as fast or faster (measured: column-wise
+# faster through radix 7, even at 8-10, outer faster from 11)
 _COLUMNWISE_MAX_RADIX = 7
 
 
@@ -147,32 +148,48 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     trailing axis at a time. For small radices the extension fills one
     digit column per pass (``weights * pmf[d]``, so the inner loop runs
     over the long axis); otherwise it is ``np.multiply.outer``. Both form
-    the same single products, so the weights are bit-identical. Memory
-    stays a small multiple of the chunk whatever the space size.
+    the same single products, so the weights are bit-identical.
+
+    The products grow in two buffers allocated once per call: one holds a
+    chunk plus the blocks overhanging its edges, the other a radix-th of
+    that. Each extension writes into the other buffer, and the last lands
+    in the large one. So each yielded chunk is a view that the next chunk
+    overwrites: copy it to keep it. Memory stays a small multiple of the
+    chunk whatever the space size, and no chunk allocates an array of its
+    size.
     """
     n_components, radix = pmf_matrix.shape
     total = StateSpace(radix - 1).size(n_components)
+    chunk = _CHUNK
     # trailing axes per block; blocks of at most chunk/radix vectors keep
     # the part computed beyond a chunk's two edges small
     trailing = 0
-    while trailing < n_components and radix ** (trailing + 2) <= _CHUNK:
+    while trailing < n_components and radix ** (trailing + 2) <= chunk:
         trailing += 1
     leading, block = n_components - trailing, radix**trailing
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
+    # a chunk spans at most ceil(chunk/block) + 1 blocks; the space is a
+    # whole number of blocks
+    size = min((-(-chunk // block) + 1) * block, total)
+    # growth step s writes pair[(trailing - s) % 2], step 0 being the
+    # leading products, so the last step writes the large buffer
+    pair = (np.empty(size), np.empty(size // radix))
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
         first = lo // block
         digits = _digit_matrix(first, (hi - 1) // block + 1, leading, radix)
-        weights = np.ones(digits.shape[0])
+        weights = pair[trailing % 2][: digits.shape[0]]
+        weights.fill(1.0)
         for col in range(leading):
             weights *= pmf_matrix[col, digits[:, col]]
-        for pmf in pmf_matrix[leading:]:
+        for step, pmf in enumerate(pmf_matrix[leading:], 1):
+            grown = pair[(trailing - step) % 2][: weights.size * radix]
+            grown = grown.reshape(-1, radix)
             if radix <= _COLUMNWISE_MAX_RADIX:
-                grown = np.empty((weights.size, radix))
                 for digit, mass in enumerate(pmf):
                     np.multiply(weights, mass, out=grown[:, digit])
-                weights = grown.reshape(-1)
             else:
-                weights = np.multiply.outer(weights, pmf).reshape(-1)
+                np.multiply.outer(weights, pmf, out=grown)
+            weights = grown.reshape(-1)
         yield lo, weights[lo - first * block : hi - first * block]
 
 

@@ -134,6 +134,11 @@ class SweepResult:
     trials: int
     held_product: float
 
+    def __post_init__(self) -> None:
+        trials, seed = _check_counts(self.trials, "trials", self.seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+
     def _blocks(
         self, start: int, stop: int
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -148,8 +153,11 @@ class SweepResult:
         self, start: int = 0, stop: int | None = None
     ) -> tuple[range, list[float], list[float], list[float]]:
         """Trial numbers and the three float columns of rows
-        ``start:stop`` as Python values; only those rows are drawn."""
-        stop = self.trials if stop is None else min(max(stop, 0), self.trials)
+        ``start:stop`` as Python values; only those rows are drawn. Bounds
+        are integers, clamped into ``0..trials``."""
+        start = operator.index(start)
+        stop = self.trials if stop is None else operator.index(stop)
+        stop = min(max(stop, 0), self.trials)
         start = min(max(start, 0), stop)
         p_1_1, p_2_1, performance = [], [], []
         for _, d, p in self._blocks(start, stop):

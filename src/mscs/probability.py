@@ -41,6 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import enumeration
 from .core import _check_level, _check_max_state
 from .enumeration import (
     ensure_enumerable,
@@ -266,28 +267,34 @@ def exact_system_distribution(
     Every vector's probability is the product of its component PMF entries
     (independence), multiplied left to right. Weights come in chunks of
     ``2**16`` vectors (:func:`iter_weight_chunks`) and levels in slabs
-    (:func:`iter_level_slabs`); each chunk's levels are a view of one slab,
-    or joined from the slab pieces it spans where it crosses a slab edge.
+    (:func:`iter_level_slabs`); each chunk's levels are copied from the
+    slab or slabs it spans into one uint8 chunk buffer, owned by the call.
     Each chunk is summed per level with ``np.bincount``, in one fixed
     lexicographic order, so the accumulated sums are deterministic. No
-    full-space array is allocated: memory stays at a slab of levels and a
-    chunk of weights (about 2 MB at 5^10 vectors).
+    full-space array is allocated, and no chunk allocates a weight or level
+    array of its own: memory stays at a slab of levels and the buffers of a
+    chunk (about 2 MB at 5^10 vectors).
     """
     family = _system_family(expr, dists)
     n_components, max_state = len(family), family[0].max_state
-    ensure_enumerable(n_components, max_state, limit)
+    size = ensure_enumerable(n_components, max_state, limit)
     pmf_matrix = np.asarray([d.pmf for d in family])  # n x (max_state+1)
     acc = np.zeros(max_state + 1)
     slabs = iter_level_slabs(expr, n_components, max_state)
-    rest = np.empty(0, dtype=np.uint8)  # the unsummed tail of the last slab
-    for _, weights in iter_weight_chunks(pmf_matrix):
-        levels, rest = rest[: weights.size], rest[weights.size :]
-        while levels.size < weights.size:
-            _, slab = next(slabs)
-            cut = weights.size - levels.size
-            head, rest = slab[:cut], slab[cut:]
-            levels = np.concatenate((levels, head)) if levels.size else head
-        acc += np.bincount(levels, weights=weights, minlength=max_state + 1)
+    slab_lo, slab = 0, np.empty(0, dtype=np.uint8)
+    # sized from the chunk the weight generator reads when it is called
+    levels = np.empty(min(enumeration._CHUNK, size), dtype=np.uint8)
+    for lo, weights in iter_weight_chunks(pmf_matrix):
+        at, hi = lo, lo + weights.size
+        while at < hi:  # a chunk edge may fall inside a slab, or past it
+            if at == slab_lo + slab.size:
+                slab_lo, slab = next(slabs)
+            end = min(hi, slab_lo + slab.size)
+            levels[at - lo : end - lo] = slab[at - slab_lo : end - slab_lo]
+            at = end
+        acc += np.bincount(
+            levels[: weights.size], weights=weights, minlength=max_state + 1
+        )
     return SystemDistribution.from_pmf(acc.tolist())
 
 

@@ -27,6 +27,7 @@ from mscs import (
     PipelineSpec,
     Segment,
     StateSpace,
+    SweepResult,
     SystemDistribution,
     as_vector,
     cdf_bounds,
@@ -139,6 +140,14 @@ SLOTS = {
     "set_state1[segment_number]": lambda v: set_state1(SPEC, v, 0.1),
     "sweep_state1[trials]": lambda v: sweep_state1(SPEC, v, 7),
     "sweep_state1[seed]": lambda v: sweep_state1(SPEC, 10, v),
+    "SweepResult[seed]": lambda v: (
+        SweepResult(v, 3, 0.5), SweepResult(v, 3, 0.5).columns()
+    ),
+    "SweepResult[trials]": lambda v: (
+        SweepResult(7, v, 0.5), SweepResult(7, v, 0.5).columns(0, 3)
+    ),
+    "SweepResult.columns[start]": lambda v: SweepResult(7, 3, 0.5).columns(v),
+    "SweepResult.columns[stop]": lambda v: SweepResult(7, 3, 0.5).columns(0, v),
     "SystemDistribution.cdf_at[level]": lambda v: SystemDistribution.from_pmf(
         DISTS[0]
     ).cdf_at(v),
@@ -163,13 +172,12 @@ SLOTS = {
 }
 
 #: Public callables that take no integer or level. The records the package
-#: returns (reports, entries, sweep results, estimates) are built from
+#: returns (reports, entries, rows, estimates) are built from
 #: values it has already converted.
 TAKES_NO_INTEGER = {
     "BoundaryEntry", "CoherenceReport", "ComponentDistribution",
     "MonotonicityResult", "MonteCarloEstimate", "Parallel", "PmfDiagnostic",
-    "RelevanceEntry", "Segment", "Series", "StructureExpr", "SweepResult",
-    "SweepRow", "UCVSet", "arity", "case_study_path",
+    "RelevanceEntry", "Segment", "Series", "StructureExpr", "SweepRow", "UCVSet", "arity", "case_study_path",
     "closed_form_distribution", "dominance_check", "exact_system_distribution",
     "export_results", "format_expr", "load_case_study", "load_pipeline_spec",
     "parallel", "parse_expr", "pipeline_state1_cdf", "series",

@@ -62,13 +62,23 @@ def test_weight_chunks_bit_identical_to_outer_products(max_state, n):
     rng = np.random.default_rng(max_state * 100 + n)
     pmf_matrix = rng.dirichlet(np.ones(max_state + 1), n)
     pmf_matrix[0, 0] = 0.0  # a zero-mass level
-    got = list(iter_weight_chunks(pmf_matrix))
+    # each chunk is a view that the next one overwrites: copy as yielded
+    got = [(lo, w.copy()) for lo, w in iter_weight_chunks(pmf_matrix)]
     want = list(outer_weight_chunks(pmf_matrix))
     assert [lo for lo, _ in got] == [lo for lo, _ in want]
     for (_, mine), (_, theirs) in zip(got, want):
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes()
     assert sum(w.size for _, w in got) == (max_state + 1) ** n
+
+
+@pytest.mark.parametrize("max_state, n", [(1, 18), (4, 8), (15, 5)])
+def test_weight_chunks_share_the_generator_buffer(max_state, n):
+    # every chunk is grown in the same buffer, allocated once per call
+    pmf_matrix = np.full((n, max_state + 1), 1 / (max_state + 1))
+    chunks = [w for _, w in iter_weight_chunks(pmf_matrix)]
+    assert len(chunks) > 2
+    assert all(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
 
 
 def table_levels(expr, n, max_state):
@@ -121,7 +131,7 @@ def assert_streams_table(expr, n, max_state, seed):
 # space at 2^9..6^6 vectors.
 @pytest.mark.parametrize("chunk", [1 << 12, 1 << 8])
 @pytest.mark.parametrize("max_state, max_index", [(1, 12), (2, 8), (3, 6), (4, 5), (5, 4)])
-def test_level_chunks_match_level_table(monkeypatch, chunk, max_state, max_index):
+def test_level_slabs_match_level_table(monkeypatch, chunk, max_state, max_index):
     monkeypatch.setattr(enumeration, "_CHUNK", chunk)
     monkeypatch.setattr(enumeration, "_SLAB", 1 << 10)
     rnd = random.Random(chunk + max_state)
