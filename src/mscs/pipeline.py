@@ -127,7 +127,8 @@ class SweepResult:
     :func:`state1_performance`. :meth:`columns`, :meth:`argmax_row` and
     the CSV and JSON writers compute rows ``_ROW_BLOCK`` at a time from the
     seed, so none of them holds a column of every trial. Equal recipes give
-    the same rows bit for bit.
+    the same rows bit for bit. ``seed`` and ``trials`` are converted and
+    checked on construction, as :func:`sweep_state1` checks them.
     """
 
     seed: int

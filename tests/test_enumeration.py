@@ -126,7 +126,7 @@ def assert_streams_table(expr, n, max_state, seed):
 
 # slabs of at most 2^10 vectors: shorter than 2^12-vector chunks, so a
 # chunk spans several and most chunk edges fall inside one; or longer than
-# 2^8-vector chunks, so a slab's tail is joined to the next slab's head.
+# 2^8-vector chunks, so one chunk copies a slab's tail and the next head.
 # At M = 1 both line up. Wider components for fewer levels keep every
 # space at 2^9..6^6 vectors.
 @pytest.mark.parametrize("chunk", [1 << 12, 1 << 8])
