@@ -273,7 +273,7 @@ def exact_system_distribution(
     lexicographic order, so the accumulated sums are deterministic. No
     full-space array is allocated, and no chunk allocates a weight or level
     array of its own: memory stays at a slab of levels and the buffers of a
-    chunk (about 2 MB at 5^10 vectors).
+    chunk (about 1.6 MB at 5^10 vectors).
     """
     family = _system_family(expr, dists)
     n_components, max_state = len(family), family[0].max_state
