@@ -123,18 +123,10 @@ def iter_vector_chunks(
     vector. Nothing in the package calls it; ``perfbench`` times it as its
     digit-enumeration probe."""
     total = StateSpace(max_state).size(n_components)
+    shape = (max_state + 1,) * n_components
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
-        yield lo, _digit_matrix(lo, hi, n_components, max_state + 1)
-
-
-def _digit_matrix(lo: int, hi: int, n_components: int, radix: int) -> np.ndarray:
-    """Digits of the flat indices lo..hi-1, one row per index."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((hi - lo, n_components), dtype=np.int64)
-    for col in range(n_components - 1, -1, -1):
-        idx, digits[:, col] = np.divmod(idx, radix)
-    return digits
+        yield lo, np.array(np.unravel_index(np.arange(lo, hi), shape)).T
 
 
 def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -145,7 +137,10 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
 
     Each chunk is sliced from the blocks of whole trailing axes that cover
     it: the left-to-right products of the leading entries, extended one
-    trailing axis at a time. For small radices the extension fills one
+    trailing axis at a time. At most n - 1 axes trail, so every block has
+    a leading digit; the blocks' digits come from ``np.unravel_index``,
+    and their products from one gather and one ``np.multiply.reduce``
+    down the leading axes, which multiplies left to right. For small radices the extension fills one
     digit column per pass (``weights * pmf[d]``, so the inner loop runs
     over the long axis); otherwise it is ``np.multiply.outer``. Both form
     the same single products, so the weights are bit-identical.
@@ -164,7 +159,7 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     # trailing axes per block; blocks of at most chunk/radix vectors keep
     # the part computed beyond a chunk's two edges small
     trailing = 0
-    while trailing < n_components and radix ** (trailing + 2) <= chunk:
+    while trailing < n_components - 1 and radix ** (trailing + 2) <= chunk:
         trailing += 1
     leading, block = n_components - trailing, radix**trailing
     # a chunk spans at most ceil(chunk/block) + 1 blocks; the space is a
@@ -173,14 +168,14 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     # growth step s writes pair[(trailing - s) % 2], step 0 being the
     # leading products, so the last step writes the large buffer
     pair = (np.empty(size), np.empty(size // radix))
+    rows, shape = np.arange(leading)[:, np.newaxis], (radix,) * leading
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         first = lo // block
-        digits = _digit_matrix(first, (hi - 1) // block + 1, leading, radix)
-        weights = pair[trailing % 2][: digits.shape[0]]
-        weights.fill(1.0)
-        for col in range(leading):
-            weights *= pmf_matrix[col, digits[:, col]]
+        blocks = np.arange(first, (hi - 1) // block + 1)
+        digits = np.array(np.unravel_index(blocks, shape))
+        weights = pair[trailing % 2][: blocks.size]
+        np.multiply.reduce(pmf_matrix[rows, digits], axis=0, out=weights)
         for step, pmf in enumerate(pmf_matrix[leading:], 1):
             grown = pair[(trailing - step) % 2][: weights.size * radix]
             grown = grown.reshape(-1, radix)

@@ -198,11 +198,11 @@ def arity(expr: StructureExpr) -> int:
 def _check_covers(expr: StructureExpr, n_components: int) -> None:
     """Refuse ``n_components`` (a vector's length, a matrix's width, a
     family's size) below the largest component index ``expr`` references."""
-    if n_components < arity(expr):
+    needed = arity(expr)
+    if n_components < needed:
         noun = "component does" if n_components == 1 else "components do"
         raise ArityMismatchError(
-            f"{n_components} {noun} not cover component indices up to "
-            f"{arity(expr)}"
+            f"{n_components} {noun} not cover component indices up to {needed}"
         )
 
 

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import itertools
 import pkgutil
 import random
 
@@ -19,13 +20,23 @@ from mscs.coherence import (
 )
 from mscs.enumeration import (
     _CHUNK,
-    _digit_matrix,
     iter_level_slabs,
+    iter_vector_chunks,
     iter_weight_chunks,
     level_table,
 )
 from mscs.probability import exact_system_distribution, monte_carlo_cdf
 from mscs.structure import Component, KOutOfN, Series, arity, parse_expr
+
+
+def _digit_matrix(lo, hi, n_components, radix):
+    """Digits of the flat indices lo..hi-1, one row per index, by repeated
+    ``divmod``: the reference's own decoder, apart from the package's."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    digits = np.empty((hi - lo, n_components), dtype=np.int64)
+    for col in range(n_components - 1, -1, -1):
+        idx, digits[:, col] = np.divmod(idx, radix)
+    return digits
 
 
 def outer_weight_chunks(pmf_matrix):
@@ -53,10 +64,23 @@ def outer_weight_chunks(pmf_matrix):
 
 # radices on both sides of the column-wise cutoff; spaces of 3^11, 5^8 and
 # 10^5 vectors are not multiples of 2^16, and for radices 3, 5 and 10 a
-# chunk edge falls inside a block of whole trailing axes
+# chunk edge falls inside a block of whole trailing axes. In 5^3, 5^1 and
+# 2^1 vectors the whole space fits in one block: the generator keeps one
+# leading axis, the reference none
 @pytest.mark.parametrize(
     "max_state, n",
-    [(1, 17), (2, 11), (3, 9), (4, 8), (9, 5), (15, 4), (255, 2)],
+    [
+        (1, 17),
+        (2, 11),
+        (3, 9),
+        (4, 8),
+        (9, 5),
+        (15, 4),
+        (255, 2),
+        (4, 3),
+        (4, 1),
+        (1, 1),
+    ],
 )
 def test_weight_chunks_bit_identical_to_outer_products(max_state, n):
     rng = np.random.default_rng(max_state * 100 + n)
@@ -79,6 +103,16 @@ def test_weight_chunks_share_the_generator_buffer(max_state, n):
     chunks = [w for _, w in iter_weight_chunks(pmf_matrix)]
     assert len(chunks) > 2
     assert all(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
+
+
+def test_vector_chunks_enumerate_in_order(monkeypatch):
+    # 3^7 vectors in chunks of 2^8, the last one short
+    monkeypatch.setattr(enumeration, "_CHUNK", 1 << 8)
+    chunks = list(iter_vector_chunks(7, 2))
+    assert [lo for lo, _ in chunks] == list(range(0, 3**7, 1 << 8))
+    assert all(rows.dtype == np.int64 for _, rows in chunks)
+    rows = np.concatenate([rows for _, rows in chunks])
+    assert rows.tolist() == [list(x) for x in itertools.product(range(3), repeat=7)]
 
 
 def table_levels(expr, n, max_state):
