@@ -140,10 +140,11 @@ def iter_weight_chunks(pmf_matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray
     trailing axis at a time. At most n - 1 axes trail, so every block has
     a leading digit; the blocks' digits come from ``np.unravel_index``,
     and their products from one gather and one ``np.multiply.reduce``
-    down the leading axes, which multiplies left to right. For small radices the extension fills one
-    digit column per pass (``weights * pmf[d]``, so the inner loop runs
-    over the long axis); otherwise it is ``np.multiply.outer``. Both form
-    the same single products, so the weights are bit-identical.
+    down the leading axes, which multiplies left to right. For small
+    radices the extension fills one digit column per pass
+    (``weights * pmf[d]``, so the inner loop runs over the long axis);
+    otherwise it is ``np.multiply.outer``. Both form the same single
+    products, so the weights are bit-identical.
 
     The products grow in two buffers allocated once per call: one holds a
     chunk plus the blocks overhanging its edges, the other a radix-th of

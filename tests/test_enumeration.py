@@ -112,7 +112,8 @@ def test_vector_chunks_enumerate_in_order(monkeypatch):
     assert [lo for lo, _ in chunks] == list(range(0, 3**7, 1 << 8))
     assert all(rows.dtype == np.int64 for _, rows in chunks)
     rows = np.concatenate([rows for _, rows in chunks])
-    assert rows.tolist() == [list(x) for x in itertools.product(range(3), repeat=7)]
+    want = itertools.product(range(3), repeat=7)
+    assert rows.tolist() == [list(x) for x in want]
 
 
 def table_levels(expr, n, max_state):
