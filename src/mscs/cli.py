@@ -5,19 +5,25 @@ One subcommand per analysis: ``coherence``, ``eval``, ``ucv``, ``dist``,
 codes: 0 success or property holds, 1 a ``coherence`` or ``dominance``
 verdict failed, 2 usage or input error. A reader that closes stdout early
 ends the command with 0 and no message. Given fixed seeds,
-identical invocations print byte-identical output; ``--json`` emits the
-documents described by the schemas under ``docs/schemas``.
+identical invocations print byte-identical output.
+
+Output rule: under ``--json`` a command prints one line,
+``json.dumps(doc, sort_keys=True)`` of the document its schema under
+``docs/schemas`` describes; otherwise it prints text lines. Both go through
+one writer, :func:`_emit`. ``pipeline sweep`` alone streams its own rows,
+as CSV or as its JSON document, a block at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import __version__
 from .coherence import coherence_report, enumerate_ucv
@@ -101,58 +107,44 @@ def _resolve_dists(
     return dists
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+def _emit(args, doc: dict, lines: Iterable[object], code: int = 0) -> int:
+    """Print one command's result and return its exit ``code``: under
+    ``--json`` the one line ``json.dumps(doc, sort_keys=True)``, otherwise
+    each of ``lines``. Only the printed form is read, so ``lines`` may be a
+    generator that ``--json`` never runs."""
+    for line in lines if not args.json else [json.dumps(doc, sort_keys=True)]:
+        print(line)
+    return code
 
 
 def _cmd_coherence(args) -> int:
     expr = parse_expr(args.structure)
     n = args.components if args.components is not None else arity(expr)
     report = coherence_report(expr, n, args.max_state, args.limit)
-    if args.json:
-        doc = report.to_dict()
-        doc["structure"] = format_expr(expr)
-        _emit_json(doc)
-    else:
-        print(report.to_table())
-    return 0 if report.overall else 1
+    doc = {**report.to_dict(), "structure": format_expr(expr)}
+    return _emit(args, doc, [report.to_table()], 0 if report.overall else 1)
 
 
 def _cmd_eval(args) -> int:
     expr = parse_expr(args.structure)
     state = _parse_levels(args.state)
     level = eval_expr(expr, state)
-    if args.json:
-        _emit_json(
-            {
-                "structure": format_expr(expr),
-                "state": state,
-                "level": level,
-            }
-        )
-    else:
-        print(level)
-    return 0
+    doc = {"structure": format_expr(expr), "state": state, "level": level}
+    return _emit(args, doc, [level])
 
 
 def _cmd_ucv(args) -> int:
     expr = parse_expr(args.structure)
     n = args.components if args.components is not None else arity(expr)
     found = enumerate_ucv(expr, n, args.max_state, args.level, args.limit)
-    if args.json:
-        _emit_json(
-            {
-                "structure": format_expr(expr),
-                "max_state": args.max_state,
-                "level": found.level,
-                "count": len(found.vectors),
-                "vectors": found.vectors,
-            }
-        )
-    else:
-        for vec in found.vectors:
-            print(",".join(str(v) for v in vec))
-    return 0
+    doc = {
+        "structure": format_expr(expr),
+        "max_state": args.max_state,
+        "level": found.level,
+        "count": len(found.vectors),
+        "vectors": found.vectors,
+    }
+    return _emit(args, doc, (",".join(map(str, vec)) for vec in found.vectors))
 
 
 def _cmd_dist(args) -> int:
@@ -173,22 +165,20 @@ def _cmd_dist(args) -> int:
                 "--method mc estimates one level; --out needs a distribution"
             )
         est = monte_carlo_cdf(expr, dists, args.level, args.samples, args.seed)
-        if args.json:
-            _emit_json(
-                {
-                    "method": "mc",
-                    "structure": format_expr(expr),
-                    "level": args.level,
-                    "estimate": est.estimate,
-                    "std_error": est.std_error,
-                    "samples": est.samples,
-                    "seed": est.seed,
-                }
-            )
-        else:
-            print(f"estimate  {est.estimate:.10f}")
-            print(f"std_error {est.std_error:.10f}")
-        return 0
+        doc = {
+            "method": "mc",
+            "structure": format_expr(expr),
+            "level": args.level,
+            "estimate": est.estimate,
+            "std_error": est.std_error,
+            "samples": est.samples,
+            "seed": est.seed,
+        }
+        lines = [
+            f"estimate  {est.estimate:.10f}",
+            f"std_error {est.std_error:.10f}",
+        ]
+        return _emit(args, doc, lines)
 
     if args.level is not None:
         # refuse a level outside the family's 0..M before paying for a method
@@ -200,43 +190,35 @@ def _cmd_dist(args) -> int:
 
     if args.out:
         export_results(dist, args.out)
-    if args.json:
-        _emit_json(
-            {
-                "method": args.method,
-                "structure": format_expr(expr),
-                "levels": list(range(dist.max_state + 1)),
-                "pmf": dist.pmf,
-                "cdf": dist.cdf,
-            }
-        )
+    levels = range(dist.max_state + 1)
+    doc = {
+        "method": args.method,
+        "structure": format_expr(expr),
+        "levels": list(levels),
+        "pmf": dist.pmf,
+        "cdf": dist.cdf,
+    }
+    if args.level is not None:
+        lines = [f"{dist.cdf_at(args.level):.10f}"]
     else:
-        if args.level is not None:
-            print(f"{dist.cdf_at(args.level):.10f}")
-        else:
-            print("level pmf cdf")
-            for j in range(dist.max_state + 1):
-                print(f"{j} {dist.pmf[j]:.10f} {dist.cdf[j]:.10f}")
-    return 0
+        rows = zip(levels, dist.pmf, dist.cdf)
+        lines = itertools.chain(
+            ["level pmf cdf"], (f"{j} {p:.10f} {c:.10f}" for j, p, c in rows)
+        )
+    return _emit(args, doc, lines)
 
 
 def _cmd_bounds(args) -> int:
     dists = _resolve_dists(args.pmf, args.spec, None)
     lower, upper = cdf_bounds(args.kind, dists, args.level)
-    if args.json:
-        _emit_json(
-            {
-                "kind": args.kind,
-                "level": args.level,
-                "n_components": len(dists),
-                "lower": lower,
-                "upper": upper,
-            }
-        )
-    else:
-        print(f"lower {lower:.10f}")
-        print(f"upper {upper:.10f}")
-    return 0
+    doc = {
+        "kind": args.kind,
+        "level": args.level,
+        "n_components": len(dists),
+        "lower": lower,
+        "upper": upper,
+    }
+    return _emit(args, doc, [f"lower {lower:.10f}", f"upper {upper:.10f}"])
 
 
 def _cmd_dominance(args) -> int:
@@ -255,28 +237,21 @@ def _cmd_dominance(args) -> int:
         limit=args.limit,
     )
     holds, system, system_primed = _dominance(expr, primed, dists, args.limit)
-    if args.json:
-        _emit_json(
-            {
-                "structure": format_expr(expr),
-                "holds": holds,
-                "cdf": system.cdf,
-                "cdf_prime": system_primed.cdf,
-            }
-        )
-    else:
-        print("dominance holds" if holds else "dominance fails")
-    return 0 if holds else 1
+    doc = {
+        "structure": format_expr(expr),
+        "holds": holds,
+        "cdf": system.cdf,
+        "cdf_prime": system_primed.cdf,
+    }
+    line = "dominance holds" if holds else "dominance fails"
+    return _emit(args, doc, [line], 0 if holds else 1)
 
 
 def _cmd_pipeline_analyze(args) -> int:
     spec = load_pipeline_spec(args.spec)
     value = pipeline_cdf(spec, args.level)
-    if args.json:
-        _emit_json({"spec": args.spec, "level": args.level, "cdf": value})
-    else:
-        print(f"{value:.10f}")
-    return 0
+    doc = {"spec": args.spec, "level": args.level, "cdf": value}
+    return _emit(args, doc, [f"{value:.10f}"])
 
 
 def _cmd_pipeline_sweep(args) -> int:

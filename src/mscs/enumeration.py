@@ -20,6 +20,7 @@ from __future__ import annotations
 
 __all__ = ["DEFAULT_ENUM_LIMIT", "LIMIT_ENV_VAR"]
 
+import dataclasses
 import itertools
 import operator
 import os
@@ -31,7 +32,6 @@ from .core import StateSpace
 from .errors import ExplosionLimitError, InvalidLimitError, LevelOutOfRangeError
 from .structure import (
     Component,
-    KOutOfN,
     StructureExpr,
     StructureFunction,
     _check_covers,
@@ -242,9 +242,7 @@ def _hoist_trailing(
         axes.append(_eval_grid(expr, axes))
         return Component(len(axes))
     children = tuple(_hoist_trailing(c, leading, axes) for c in expr.children)
-    if isinstance(expr, KOutOfN):
-        return KOutOfN(expr.k, children)
-    return type(expr)(children)
+    return dataclasses.replace(expr, children=children)
 
 
 def level_table(

@@ -28,6 +28,7 @@ __all__ = [
 
 import json
 import math
+import numbers
 import operator
 import re
 from collections.abc import Iterator, Sequence
@@ -128,7 +129,11 @@ class SweepResult:
     the CSV and JSON writers compute rows ``_ROW_BLOCK`` at a time from the
     seed, so none of them holds a column of every trial. Equal recipes give
     the same rows bit for bit. ``seed`` and ``trials`` are converted and
-    checked on construction, as :func:`sweep_state1` checks them.
+    checked on construction, as :func:`sweep_state1` checks them, and
+    ``held_product`` is read as a float in ``[0, 1]``: a value that is not
+    a real number raises ``TypeError``, and NaN, an infinity or a value
+    outside the interval :class:`PreconditionViolatedError`. So every row
+    value is finite.
     """
 
     seed: int
@@ -137,8 +142,19 @@ class SweepResult:
 
     def __post_init__(self) -> None:
         trials, seed = _check_counts(self.trials, "trials", self.seed)
+        if not isinstance(self.held_product, numbers.Real):
+            raise TypeError(
+                f"held_product must be a real number, "
+                f"got {self.held_product!r}"
+            )
+        # compared before the cast, so a huge int is refused, not overflowed
+        if not 0 <= self.held_product <= 1:
+            raise PreconditionViolatedError(
+                f"held_product must be in [0, 1], got {self.held_product!r}"
+            )
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "held_product", float(self.held_product))
 
     def _blocks(
         self, start: int, stop: int
@@ -179,10 +195,11 @@ class SweepResult:
     @property
     def corner_supremum(self) -> float:
         """Least upper bound of the swept formula over the open unit
-        square: the limit at both draws approaching 1, which is exactly 1.
-        Unless a held segment has state-1 mass 1, the formula is strictly
-        increasing in both draws and no sample attains it; with such a
-        segment the held product is 0 and every sample is exactly 1."""
+        square: the limit at both draws approaching 1, which is exactly 1
+        for any held product in ``[0, 1]``. Unless the held product is 0
+        (a held segment has state-1 mass 1), the formula is strictly
+        increasing in both draws and no sample attains it; at 0 every
+        sample is exactly 1."""
         return 1.0
 
 
@@ -615,7 +632,7 @@ def _write_sweep_csv(result: SweepResult, handle: TextIO) -> None:
 
 # one row of the sweep document after its separator, keys in sorted order;
 # %r is the repr that json.dumps gives a finite float, and every sweep value
-# is finite (draws are clamped to [tiny, 1), the held pmfs are validated)
+# is finite (draws are clamped to [tiny, 1), the held product is in [0, 1])
 _SWEEP_JSON_ROW = ', {"P_pipeline_1": %r, "p_1_1": %r, "p_2_1": %r, "trial": %d}'
 
 

@@ -41,7 +41,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import enumeration
 from .core import _check_level, _check_max_state
 from .enumeration import (
     ensure_enumerable,
@@ -277,14 +276,14 @@ def exact_system_distribution(
     """
     family = _system_family(expr, dists)
     n_components, max_state = len(family), family[0].max_state
-    size = ensure_enumerable(n_components, max_state, limit)
+    ensure_enumerable(n_components, max_state, limit)
     pmf_matrix = np.asarray([d.pmf for d in family])  # n x (max_state+1)
     acc = np.zeros(max_state + 1)
     slabs = iter_level_slabs(expr, n_components, max_state)
     slab_lo, slab = 0, np.empty(0, dtype=np.uint8)
-    # sized from the chunk the weight generator reads when it is called
-    levels = np.empty(min(enumeration._CHUNK, size), dtype=np.uint8)
     for lo, weights in iter_weight_chunks(pmf_matrix):
+        if lo == 0:  # the first chunk is the largest
+            levels = np.empty(weights.size, dtype=np.uint8)
         at, hi = lo, lo + weights.size
         while at < hi:  # a chunk edge may fall inside a slab, or past it
             if at == slab_lo + slab.size:

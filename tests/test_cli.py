@@ -951,6 +951,71 @@ def test_stdout_closed_before_any_write_exits_0_with_no_message(
         assert closed_out.read_bytes() == open_out.read_bytes()
 
 
+#: One invocation of each command that prints through the CLI's one writer,
+#: and its exit code.
+WRITER_COMMANDS = {
+    "coherence": (
+        ["coherence", "--structure", "series(c1, c2)", "--max-state", "2"],
+        0,
+    ),
+    "coherence_fails": (
+        ["coherence", "--structure", "parallel(c1, c1)", "--components", "2",
+         "--max-state", "2"],
+        1,
+    ),
+    "eval": (["eval", "--structure", "c1", "--state", "3"], 0),
+    "ucv": (
+        ["ucv", "--structure", "parallel(c1, c2)", "--max-state", "2",
+         "--level", "1"],
+        0,
+    ),
+    "dist_exact": (
+        ["dist", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5"],
+        0,
+    ),
+    "dist_closed_level": (
+        ["dist", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",
+         "--method", "closed", "--level", "0"],
+        0,
+    ),
+    "dist_mc": (
+        ["dist", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",
+         "--method", "mc", "--level", "0", "--samples", "100"],
+        0,
+    ),
+    "bounds": (
+        ["bounds", "--kind", "series", "--pmf", "0.5,0.5", "--level", "0"],
+        0,
+    ),
+    "dominance": (
+        ["dominance", "--structure", "series(c1, c2)", "--pmf", "0.5,0.5",
+         "--pmf-prime", "0.1,0.9"],
+        0,
+    ),
+    "pipeline_analyze": (
+        ["pipeline", "analyze", "--spec", CASE_STUDY, "--level", "1"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, want", WRITER_COMMANDS.values(), ids=list(WRITER_COMMANDS)
+)
+def test_writer_commands_with_stdout_none_exit_as_usual(
+    capsys, monkeypatch, argv, want, extra
+):
+    # sys.stdout is None when the process starts with descriptor 1 closed:
+    # print writes nothing, and the command ends with its usual code
+    assert run_cli([*argv, *extra]) == want
+    assert capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run_cli([*argv, *extra]) == want
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
 def assert_one_line_error(code, out, err):
     assert code == 2
     assert out == ""

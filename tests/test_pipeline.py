@@ -468,6 +468,33 @@ def test_sweep_columns_rows_and_equality():
     assert result != (5, trials, result.held_product)
 
 
+@pytest.mark.parametrize(
+    "held", [math.nan, math.inf, -math.inf, -1.0, -1e-300, 1.5, 10**400]
+)
+def test_sweep_result_refuses_held_product_outside_unit_interval(held):
+    # NaN would print NaN rows into a JSON document, and -1.0 gives a
+    # state-1 performance of 1.397
+    with pytest.raises(PreconditionViolatedError, match="held_product"):
+        SweepResult(7, 3, held)
+
+
+@pytest.mark.parametrize("held", ["0.5", None, 0.5j, np.array([0.5])])
+def test_sweep_result_refuses_held_product_that_is_not_a_real_number(held):
+    with pytest.raises(TypeError, match="held_product"):
+        SweepResult(7, 3, held)
+
+
+@pytest.mark.parametrize(
+    "held, value",
+    [(np.float32(0.25), 0.25), (np.float64(0.25), 0.25), (0, 0.0), (True, 1.0)],
+)
+def test_sweep_result_reads_held_product_as_a_float(held, value):
+    result = SweepResult(7, 3, held)
+    assert type(result.held_product) is float
+    assert result == SweepResult(7, 3, value)
+    assert result.columns() == SweepResult(7, 3, value).columns()
+
+
 def test_sweep_columns_clamp_bounds_into_trials():
     # a bound outside 0..trials is clamped, as a slice is not: no row is
     # drawn from before the stream or numbered below 1

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import nested_chain, oracle_eval, random_expr
+from mscs.coherence import check_boundary
 from mscs.enumeration import level_table
 from mscs.errors import (
     ArityMismatchError,
@@ -279,6 +280,16 @@ def test_arity_refusals_share_one_message():
     with pytest.raises(ArityMismatchError) as err:
         eval_expr(series(c1, c3), (1, 1))
     assert str(err.value) == "2 components do not cover component indices up to 3"
+
+
+@pytest.mark.parametrize("structure", [5, "series(c1, c2)", None])
+def test_value_neither_tree_nor_callable_is_not_a_structure_function(structure):
+    for call in (
+        lambda: as_level_function(structure, 2),
+        lambda: check_boundary(structure, 2, 1),
+    ):
+        with pytest.raises(TypeError, match="not a structure function"):
+            call()
 
 
 def test_batch_validation():
