@@ -239,14 +239,17 @@ def _system_family(
 
 
 def component_cdf(dist: DistributionLike, level: int) -> float:
-    """Probability that the component state is at or below ``level``."""
+    """Probability that the component state is at or below ``level``: the
+    PMF's ``math.fsum`` to ``level``, at most 1, and 1 at the top level."""
     d = _ensure_valid(dist)
     return _cdf(d, _check_level(level, d.max_state))
 
 
 def _cdf(d: ComponentDistribution, level: int) -> float:
     """:func:`component_cdf` of a validated ``d`` at a checked ``level``."""
-    return math.fsum(d.pmf[: level + 1])
+    if level == d.max_state:
+        return 1.0
+    return min(math.fsum(d.pmf[: level + 1]), 1.0)
 
 
 def _cdfs_at(dists: Sequence[DistributionLike], level: int) -> list[float]:
@@ -312,7 +315,7 @@ def _koon_cdf(k: int, values: Sequence[float]) -> float:
     below = [1.0] + [0.0] * (k - 1)
     for v in values:
         below = [b * v + a * (1.0 - v) for a, b in zip([0.0, *below], below)]
-    return math.fsum(below)
+    return min(math.fsum(below), 1.0)
 
 
 def _tree_cdf(expr: StructureExpr, values: Sequence[float]) -> float:
@@ -330,8 +333,8 @@ def closed_form_distribution(
     expr: StructureExpr, dists: Sequence[DistributionLike]
 ) -> SystemDistribution:
     """Exact system distribution of a read-once tree, bottom up from the
-    component CDFs (the universal generating function method); agrees with
-    :func:`exact_system_distribution` to ``ORACLE_TOLERANCE``."""
+    component CDFs (the universal generating function method), with CDFs in
+    [0, 1] ending in 1; agrees with the enumerator to ``ORACLE_TOLERANCE``."""
     family = _system_family(expr, dists)
     indices = _indices(expr)
     if len(set(indices)) < len(indices):
@@ -374,7 +377,7 @@ def cdf_bounds(
     its level is sandwiched between the series and parallel envelopes, so
     it does not depend on ``kind``: ``kind`` is validated, and both values
     return the same pair. For series the upper bound is tight; for
-    parallel the lower one is.
+    parallel the lower one is. Both lie in [0, 1] and are 1 at the top level.
     """
     kind_evaluator(kind)
     values = _cdfs_at(dists, level)
@@ -447,22 +450,18 @@ def monte_carlo_cdf(
     order, in blocks of ``_MC_BLOCK_BYTES`` of draws (never fewer than
     ``_MC_BLOCK_MIN_TRIALS`` trials), so memory does not grow with the
     sample count and hardly with the component count. Component i is above
-    ``level`` exactly when its draw ``u`` satisfies ``u >= F_i(level)``,
-    which is the event on which the inverse transform ``F_i^-1(u)`` exceeds
-    ``level``; so every sample's verdict, and the estimate, equal those of
-    inverse-transform sampling bit for bit, whatever the block size. The
-    tree is evaluated on these 0/1 events (its binary image), one byte per
-    draw instead of a state vector.
+    ``level`` exactly when its draw ``u`` is at least its ``component_cdf``
+    at ``level``, the event on which the inverse transform exceeds ``level``;
+    so every verdict, and the estimate, equal inverse-transform sampling's,
+    whatever the block size. The tree is evaluated on these 0/1 events
+    (its binary image), one byte per draw instead of a state vector.
     """
     samples, seed = _check_counts(samples, "samples", seed)
     family = _system_family(expr, dists)
     n = len(family)
-    max_state = family[0].max_state
-    level = _check_level(level, max_state)
-    cums = np.asarray([list(accumulate(d.pmf)) for d in family])
-    # X_i > level exactly when u >= cums_i[level]; nothing exceeds the top
-    # level, however far below 1 rounding left cums_i[max_state]
-    above = cums[:, level] if level < max_state else np.full(n, np.inf)
+    level = _check_level(level, family[0].max_state)
+    # X_i > level exactly when u >= F_i(level); no draw reaches F_i(top) = 1
+    above = np.asarray([_cdf(d, level) for d in family])
     budget = max(_MC_BLOCK_BYTES // (8 * n), 1)  # trials in the byte budget
     block = max(budget, _MC_BLOCK_MIN_TRIALS)
     # one 0/1 row per component, 1 where it is above the level, reused

@@ -137,6 +137,11 @@ def random_read_once_expr(rnd: random.Random, indices):
     return Series(children) if node == "series" else Parallel(children)
 
 
+# a valid PMF whose math.fsum is 1 + 2**-52: its top CDF, and products of
+# it, used to print above 1
+ABOVE_ONE = (0.2515161023923991, 0.025890448614934964, 0.7225934489926661)
+
+
 def random_pmf(rng, max_state):
     """Uniformly random PMF over 0..max_state (numpy Generator)."""
     raw = rng.random(max_state + 1)

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,13 +13,18 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNDECODABLE_SPECS, nested_chain
+from conftest import (
+    ABOVE_ONE,
+    UNDECODABLE_SPECS,
+    nested_chain,
+    random_read_once_expr,
+)
 from mscs.cli import run_cli
 from mscs.pipeline import case_study_path, load_pipeline_spec, sweep_state1
-from mscs.structure import MAX_NESTING
+from mscs.structure import MAX_NESTING, format_expr
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CASE_STUDY = str(case_study_path())
@@ -1328,3 +1334,74 @@ def test_cli_exit_code_contract(invocation):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
     if code == 1:
         assert command in ("coherence", "dominance"), (argv, err)
+
+
+@st.composite
+def valid_pmf(draw, max_state):
+    """A valid pmf over 0..max_state; now and then its largest entry is
+    raised an ulp at a time until its math.fsum is 1 + 2**-52."""
+    weights = draw(st.lists(
+        st.integers(0, 1000), min_size=max_state + 1, max_size=max_state + 1
+    ).filter(any))
+    pmf = [w / sum(weights) for w in weights]
+    if draw(st.booleans()):
+        top = pmf.index(max(pmf))
+        while math.fsum(pmf) <= 1.0 and pmf[top] < 1.0:
+            pmf[top] = math.nextafter(pmf[top], 2.0)
+    return tuple(pmf)
+
+
+@st.composite
+def schema_case(draw):
+    """``(tree, pmfs, kind, state, level)``: a read-once tree over c1..cn,
+    one valid pmf per component, a bounds kind, a state vector and a
+    level."""
+    n = draw(st.integers(1, FUZZ_N))
+    max_state = draw(st.integers(1, FUZZ_M))
+    indices = draw(st.permutations(range(1, n + 1)))
+    tree = format_expr(random_read_once_expr(draw(st.randoms()), indices))
+    pmfs = [draw(valid_pmf(max_state)) for _ in range(n)]
+    kind = draw(st.sampled_from(["series", "parallel"]))
+    state = draw(st.lists(st.integers(0, max_state), min_size=n, max_size=n))
+    return tree, pmfs, kind, state, draw(st.integers(0, max_state))
+
+
+# Exact `dist` and `dominance` are left out: the enumerator's accumulated
+# top CDF can round above 1, and perfbench/pins.json pins those commands'
+# stdout bytes by sha256 (dist_exact, dominance, dominance_json).
+@settings(max_examples=60, deadline=None)
+@given(schema_case())
+@example(("parallel(c1, c2)", [ABOVE_ONE, ABOVE_ONE], "series", [0, 0], 2))
+def test_json_documents_inside_their_schemas(case):
+    tree, pmfs, kind, state, level = case
+    max_state = len(pmfs[0]) - 1
+    pmf_args = [arg for pmf in pmfs for arg in ("--pmf", ",".join(map(repr, pmf)))]
+    structure = ["--structure", tree]
+    with tempfile.TemporaryDirectory() as scratch:
+        spec = os.path.join(scratch, "spec.json")
+        segments = [{"name": f"s{i}", "pmf": pmf} for i, pmf in enumerate(pmfs)]
+        Path(spec).write_text(
+            json.dumps({"max_state": max_state, "segments": segments})
+        )
+        runs = [
+            ("dist", ["dist", *structure, "--method", "closed", *pmf_args]),
+            ("dist", ["dist", *structure, "--method", "mc", *pmf_args,
+                      "--level", str(level), "--samples", "64"]),
+            ("coherence", ["coherence", *structure, "--max-state", str(max_state)]),
+            ("ucv", ["ucv", *structure, "--max-state", str(max_state),
+                     "--level", str(level)]),
+            ("eval", ["eval", *structure, "--state", ",".join(map(str, state))]),
+        ]
+        for at in map(str, range(max_state + 1)):
+            runs += [
+                ("bounds", ["bounds", "--kind", kind, *pmf_args, "--level", at]),
+                ("pipeline_analyze", ["pipeline", "analyze", "--spec", spec,
+                                      "--level", at]),
+            ]
+        for name, argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_cli([*argv, "--json"])
+            # a coherence failure exits 1 with its document
+            assert code == 0 or (name, code) == ("coherence", 1), argv
+            check_schema(f"{name}.schema.json", json.loads(out.getvalue()))

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    ABOVE_ONE,
     oracle_distribution,
     random_expr,
     random_pmf,
@@ -61,6 +62,26 @@ def test_component_cdf():
     assert component_cdf((1.0, 0.0, 0.0), 0) == 1.0
     with pytest.raises(LevelOutOfRangeError):
         component_cdf(d, 3)
+
+
+def test_cdfs_never_exceed_one():
+    assert math.fsum(ABOVE_ONE) > 1.0 and validate_pmf(ABOVE_ONE) is None
+    assert component_cdf(ABOVE_ONE, 2) == 1.0
+    # below the top level the sum is capped: here the top level has no mass
+    assert component_cdf((*ABOVE_ONE, 0.0), 2) == 1.0
+    assert cdf_bounds("series", [ABOVE_ONE] * 2, 2) == (1.0, 1.0)
+    assert closed_form_cdf("parallel", [ABOVE_ONE] * 2, 2) == 1.0
+    pair = closed_form_distribution(parallel(c1, c2), [ABOVE_ONE] * 2)
+    assert pair.cdf[-1] == 1.0
+    # the Poisson-binomial sum of this koon node rounds to 1 + 2**-52
+    values = (0.9990965292656508, 0.9898507183437331, 0.9996281037910695,
+              0.9992000486480251, 0.9998685478002595, 0.9994147874663805)
+    koon = k_out_of_n(6, *(component(i) for i in range(1, 7)))
+    got = closed_form_distribution(koon, [(v, 1.0 - v) for v in values])
+    assert got.cdf == (1.0, 1.0)
+    # no draw reaches the top level's CDF, so nothing exceeds that level
+    est = monte_carlo_cdf(parallel(c1, c2), [ABOVE_ONE] * 2, 2, 100, 0)
+    assert est.estimate == 1.0
 
 
 @pytest.mark.parametrize(
@@ -258,15 +279,17 @@ def test_closed_form_distribution_examples_and_validation():
     two_of_three = KOutOfN(2, (c1, c2, Component(3)))
     # at or below level 0 when fewer than two components exceed it
     assert closed_form_distribution(two_of_three, [FAIR] * 3).cdf[0] == 0.5
-    # the koon count rounds this CDF down by an ulp at the top level; the
-    # differenced masses must still be non-negative
+    # the koon count rounds this CDF down by an ulp at an interior level
+    # (the top level is exactly 1); the differenced masses must still be
+    # non-negative
     skewed = [
-        (0.16666666666666666, 0.3333333333333333, 0.4999999999999999, 0.0),
-        (0.4545454545454546, 0.09090909090909093, 0.27272727272727276,
-         0.18181818181818185),
+        (0.00023461062402154844, 0.11574588165316181, 1.6469166646157685e-13,
+         0.8840195077226519),
+        (0.8118801657685251, 0.18811594317156607, 2.6838882816440744e-37,
+         3.891059908919128e-06),
     ]
     dipping = closed_form_distribution(KOutOfN(2, (c1, c2)), skewed)
-    assert dipping.cdf[3] < dipping.cdf[2]
+    assert dipping.cdf[2] < dipping.cdf[1] and dipping.cdf[3] == 1.0
     assert min(dipping.pmf) == 0.0
     with pytest.raises(PreconditionViolatedError, match="read-once"):
         closed_form_distribution(series(c1, parallel(c1, c2)), [FAIR, FAIR])
@@ -419,7 +442,9 @@ def test_monte_carlo_coverage_over_100_seeded_runs():
 def inverse_transform_cdf(expr, dists, level, samples, seed):
     """The inverse-transform estimator ``monte_carlo_cdf`` replaced: every
     state is ``searchsorted`` off its component CDF and clamped to the top
-    level, and the multistate tree is evaluated on the state vectors."""
+    level, and the multistate tree is evaluated on the state vectors. Its
+    running sums may differ from ``component_cdf`` in the last bits; a
+    draw falls between the two with a chance of order 2**-53 per draw."""
     cums = np.asarray([list(itertools.accumulate(d)) for d in dists])
     max_state = cums.shape[1] - 1
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(
