@@ -54,7 +54,6 @@ from .probability import (
     _check_counts,
     _uniform_blocks,
     closed_form_cdf,
-    validate_pmf,
 )
 
 _SCENARIO_FILES = {
@@ -93,11 +92,6 @@ class PipelineSpec:
                 raise SpecFormatError(
                     f"segment {seg.name!r} has {len(seg.distribution.pmf)} "
                     f"pmf entries, expected {self.max_state + 1}"
-                )
-            diagnostic = validate_pmf(seg.distribution)
-            if diagnostic is not None:
-                raise InvalidPMFError(
-                    f"segment {seg.name!r}: {diagnostic.message}"
                 )
 
     @property
@@ -225,7 +219,8 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
     The format is JSON with an integer ``max_state`` and a nonempty
     ``segments`` array of ``{"name": str, "pmf": [max_state+1 numbers]}``.
     Text that does not decode (not UTF-8 or JSON, too deep, a number no
-    float carries) raises :class:`SpecFormatError`, as does a bad field.
+    float carries) raises :class:`SpecFormatError`, as does a bad or an
+    unknown field; an invalid PMF raises :class:`InvalidPMFError`.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -239,6 +234,7 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
         raise SpecFormatError(str(err)) from None
     if not isinstance(doc, dict):
         raise SpecFormatError("top level must be an object")
+    _check_fields(doc, ("max_state", "segments"), "")
     if not isinstance(doc.get("max_state"), int) or isinstance(
         doc.get("max_state"), bool
     ):
@@ -255,6 +251,7 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
             raise SpecFormatError(
                 f"segment {pos}: field 'name' must be a nonempty string"
             )
+        _check_fields(raw, ("name", "pmf"), f"segment {name!r}: ")
         pmf = raw.get("pmf")
         if not isinstance(pmf, list) or not all(
             isinstance(p, (int, float)) and not isinstance(p, bool) for p in pmf
@@ -262,11 +259,27 @@ def load_pipeline_spec(path: Union[str, Path]) -> PipelineSpec:
             raise SpecFormatError(
                 f"segment {name!r}: field 'pmf' must be an array of numbers"
             )
-        try:
-            segments.append(Segment(name, ComponentDistribution(tuple(pmf))))
-        except (OverflowError, InvalidPMFError) as err:
-            raise SpecFormatError(f"segment {name!r}: {err}") from None
+        segments.append(_segment(name, pmf))
     return PipelineSpec(doc["max_state"], tuple(segments))
+
+
+def _check_fields(obj: dict, fields: tuple[str, ...], where: str) -> None:
+    """Refuse the first key of ``obj`` outside ``fields``, as the published
+    schema's ``additionalProperties: false`` does."""
+    for key in obj:
+        if key not in fields:
+            raise SpecFormatError(f"{where}unknown field {key!r}")
+
+
+def _segment(name: str, pmf: Sequence[float]) -> Segment:
+    """``Segment(name, ComponentDistribution(pmf))``, refused with the
+    segment named (a format error if ``pmf`` is empty or overflows)."""
+    try:
+        return Segment(name, ComponentDistribution(tuple(pmf)))
+    except (OverflowError, InvalidPMFError) as err:
+        malformed = not pmf or isinstance(err, OverflowError)
+        error = SpecFormatError if malformed else InvalidPMFError
+        raise error(f"segment {name!r}: {err}") from None
 
 
 def pipeline_cdf(spec: PipelineSpec, level: int) -> float:
@@ -324,9 +337,7 @@ def set_state1(
         )
     pmf[-1] = max(residual, 0.0)
     segments = list(spec.segments)
-    segments[segment_number - 1] = Segment(
-        seg.name, ComponentDistribution(tuple(pmf))
-    )
+    segments[segment_number - 1] = _segment(seg.name, pmf)
     return PipelineSpec(spec.max_state, tuple(segments))
 
 

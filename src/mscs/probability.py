@@ -79,19 +79,16 @@ _MC_BLOCK_MIN_TRIALS = 1 << 12
 
 @dataclass(frozen=True)
 class ComponentDistribution:
-    """PMF of one component's random state over levels 0..max_state.
-
-    Construction only shapes the data; call :func:`validate_pmf` for the
-    validity verdict (operations that require a valid PMF do so
-    internally).
-    """
+    """PMF of one component's random state over levels 0..max_state. Valid
+    once built: an empty PMF, or one :func:`validate_pmf` refuses, raises."""
 
     pmf: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pmf", tuple(float(p) for p in self.pmf))
-        if not self.pmf:
-            raise InvalidPMFError("pmf must have at least one entry")
+        diagnostic = _diagnose(self.pmf)
+        if diagnostic is not None:
+            raise InvalidPMFError(diagnostic.message)
 
     @property
     def max_state(self) -> int:
@@ -108,25 +105,30 @@ class PmfDiagnostic:
 
 @dataclass(frozen=True)
 class SystemDistribution:
-    """System-level PMF and its accumulated CDF over levels 0..max_state."""
+    """System-level PMF and CDF over levels 0..max_state, valid once built:
+    a nonempty PMF without negative mass summing to 1, and a CDF as long."""
 
     pmf: tuple[float, ...]
     cdf: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if not self.pmf:
+            raise InvalidPMFError("system pmf must have at least one entry")
+        if any(p < 0.0 for p in self.pmf):
+            raise InvalidPMFError("system pmf has negative mass")
+        # the sum from_pmf accumulates; written so a NaN sum is refused too
+        *_, total = accumulate(self.pmf)
+        if not abs(total - 1.0) <= PMF_TOLERANCE:
+            raise InvalidPMFError(
+                f"system pmf sums to {total!r}, not 1 within {PMF_TOLERANCE}"
+            )
+        if len(self.cdf) != len(self.pmf):
+            raise InvalidPMFError("system cdf and pmf differ in length")
+
     @classmethod
     def from_pmf(cls, pmf: Sequence[float]) -> "SystemDistribution":
         values = tuple(float(p) for p in pmf)
-        if not values:
-            raise InvalidPMFError("system pmf must have at least one entry")
-        if any(p < 0.0 for p in values):
-            raise InvalidPMFError("system pmf has negative mass")
-        cdf = tuple(accumulate(values))
-        # written so that a NaN sum is refused too
-        if not abs(cdf[-1] - 1.0) <= PMF_TOLERANCE:
-            raise InvalidPMFError(
-                f"system pmf sums to {cdf[-1]!r}, not 1 within {PMF_TOLERANCE}"
-            )
-        return cls(values, cdf)
+        return cls(values, tuple(accumulate(values)))
 
     @property
     def max_state(self) -> int:
@@ -155,24 +157,28 @@ def as_distribution(dist: DistributionLike) -> ComponentDistribution:
 
 
 def validate_pmf(dist: DistributionLike) -> Optional[PmfDiagnostic]:
-    """None when the PMF is valid, otherwise the first violated clause."""
-    d = as_distribution(dist)
-    for i, p in enumerate(d.pmf):
-        if not math.isfinite(p):
-            return PmfDiagnostic(
-                "non_finite", f"entry {i} is not finite ({p!r})"
-            )
-    for i, p in enumerate(d.pmf):
-        if p < 0.0:
-            return PmfDiagnostic(
-                "negative_mass", f"entry {i} is negative ({p!r})"
-            )
-    for i, p in enumerate(d.pmf):
-        if p > 1.0:
-            return PmfDiagnostic(
-                "mass_above_one", f"entry {i} exceeds 1 ({p!r})"
-            )
-    residual = math.fsum(d.pmf) - 1.0
+    """None when the PMF is valid, otherwise the first violated clause: an
+    entry not finite, then one below 0, then one above 1, else a ``fsum``
+    over ``PMF_TOLERANCE`` from 1. An empty raw PMF raises; a
+    :class:`ComponentDistribution` is valid once built, so it gives None."""
+    if isinstance(dist, ComponentDistribution):
+        return None
+    return _diagnose(tuple(float(p) for p in dist))
+
+
+def _diagnose(pmf: tuple[float, ...]) -> Optional[PmfDiagnostic]:
+    """:func:`validate_pmf` of a raw PMF's floats: the one diagnosis."""
+    if not pmf:
+        raise InvalidPMFError("pmf must have at least one entry")
+    for kind, fault, faulty in (
+        ("non_finite", "is not finite", lambda p: not math.isfinite(p)),
+        ("negative_mass", "is negative", lambda p: p < 0.0),
+        ("mass_above_one", "exceeds 1", lambda p: p > 1.0),
+    ):
+        for i, p in enumerate(pmf):
+            if faulty(p):
+                return PmfDiagnostic(kind, f"entry {i} {fault} ({p!r})")
+    residual = math.fsum(pmf) - 1.0
     if abs(residual) > PMF_TOLERANCE:
         return PmfDiagnostic(
             "normalization",
@@ -182,20 +188,12 @@ def validate_pmf(dist: DistributionLike) -> Optional[PmfDiagnostic]:
     return None
 
 
-def _ensure_valid(dist: DistributionLike) -> ComponentDistribution:
-    d = as_distribution(dist)
-    diagnostic = validate_pmf(d)
-    if diagnostic is not None:
-        raise InvalidPMFError(diagnostic.message)
-    return d
-
-
 def _ensure_valid_family(
     dists: Sequence[DistributionLike],
 ) -> list[ComponentDistribution]:
     if not dists:
         raise LengthMismatchError("at least one component distribution needed")
-    family = [_ensure_valid(d) for d in dists]
+    family = [as_distribution(d) for d in dists]
     widths = {d.max_state for d in family}
     if len(widths) != 1:
         raise LengthMismatchError(
@@ -241,7 +239,7 @@ def _system_family(
 def component_cdf(dist: DistributionLike, level: int) -> float:
     """Probability that the component state is at or below ``level``: the
     PMF's ``math.fsum`` to ``level``, at most 1, and 1 at the top level."""
-    d = _ensure_valid(dist)
+    d = as_distribution(dist)
     return _cdf(d, _check_level(level, d.max_state))
 
 

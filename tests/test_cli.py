@@ -373,6 +373,18 @@ def test_dist_pmf_count_mismatch(capsys):
     assert code == 2 and "3 components" in err
 
 
+def test_invalid_pmf_refused_while_parsed(capsys):
+    # reported before the count check, and before one pmf is copied to
+    # every component of a space over the limit
+    for extra in (["--pmf", "0.5,0.5"], ["--limit", "1"]):
+        code, out, err = invoke(
+            capsys, "dist", "--structure", "series(c1, c2, c3)",
+            "--pmf", "0.7,0.7", *extra,
+        )
+        assert_one_line_error(code, out, err)
+        assert err == "error: mass sums to 1+0.4, residual over 1e-09\n"
+
+
 def test_bounds(capsys):
     code, out, _ = invoke(
         capsys, "bounds", "--kind", "series", "--pmf", "0.5,0.5",
@@ -1123,6 +1135,12 @@ REFUSALS = {
     "spec_segment_not_object": (
         ["pipeline", "analyze", "--level", "1", "--spec"],
         '{"max_state": 1, "segments": [3]}',
+    ),
+    # fields the schema does not list, misspelt or extra, at both levels
+    "spec_unknown_fields": (
+        ["pipeline", "analyze", "--level", "0", "--spec"],
+        '{"max_state": 1, "note": "x", "segments": [{"name": "a", "pmf": '
+        '[0.5, 0.5], "wieght": 2}, {"name": "b", "pmf": [0.25, 0.75]}]}',
     ),
     # the koon node refuses k, the parser a series of one child
     "koon_k_past_children": (

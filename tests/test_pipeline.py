@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -79,6 +82,8 @@ def test_load_format_errors(tmp_path):
         (lambda d: d["segments"][0].update(pmf=[0, 0.1, 0.2, 0.7]), "entries"),
         (lambda d: d["segments"][0].update(pmf=[]), "s1.*entry"),
         (lambda d: d["segments"][0].update(pmf="x"), "pmf"),
+        (lambda d: d.update(note="x"), "^unknown field 'note'$"),
+        (lambda d: d["segments"][0].update(wieght=2), "^segment 's1': unknown field 'wieght'$"),
     ]:
         doc = json.loads(json.dumps(base))
         mutate(doc)
@@ -117,6 +122,62 @@ def test_load_invalid_pmf_names_segment(tmp_path):
     }
     with pytest.raises(InvalidPMFError, match="broken"):
         load_pipeline_spec(write_spec(tmp_path, doc))
+
+
+def test_set_state1_names_the_segment_it_refuses():
+    with pytest.raises(InvalidPMFError) as refused:
+        set_state1(load_case_study(), 3, -0.1)
+    assert str(refused.value) == "segment 'segment-3': entry 1 is negative (-0.1)"
+
+
+SPEC_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "schemas"
+     / "pipeline_spec.schema.json").read_text()
+)
+SPEC_PMFS = st.sampled_from(
+    [[0.5, 0.5], [0, 1], [0.25, 0.75], [0.2, 0.3, 0.5], [1], [], [0.9, 0.9], "x"]
+)
+SPEC_SEGMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.sampled_from(["a", "b", "", 3]),
+        "pmf": SPEC_PMFS,
+        "wieght": st.integers(0, 2),
+        "note": st.just("x"),
+    },
+)
+SPEC_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "max_state": st.one_of(st.integers(-1, 3), st.just(True)),
+        "segments": st.lists(SPEC_SEGMENTS, max_size=3),
+        "note": st.just("x"),
+        "version": st.integers(0, 1),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPEC_DOCUMENTS)
+@example(
+    {
+        "max_state": 1,
+        "note": "x",
+        "segments": [
+            {"name": "a", "pmf": [0.5, 0.5], "wieght": 2},
+            {"name": "b", "pmf": [0.25, 0.75]},
+        ],
+    }
+)
+def test_accepted_specs_validate_against_the_published_schema(doc):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "spec.json")
+        path.write_text(json.dumps(doc))
+        try:
+            load_pipeline_spec(path)
+        except (SpecFormatError, InvalidPMFError):
+            return
+    jsonschema.validate(doc, SPEC_SCHEMA)
 
 
 def test_load_missing_file(tmp_path):

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -105,6 +107,108 @@ def test_validate_pmf():
         assert validate_pmf(pmf).kind == "non_finite"
     with pytest.raises(InvalidPMFError):
         ComponentDistribution(())
+
+
+def test_distributions_are_valid_once_built():
+    for pmf in ((0.7, 0.7), (math.nan, 1.0)):
+        message = re.escape(validate_pmf(pmf).message)
+        with pytest.raises(InvalidPMFError, match=message):
+            ComponentDistribution(pmf)
+    with pytest.raises(InvalidPMFError, match="sums to 1.1"):
+        SystemDistribution((0.5, 0.6), (0.5, 1.1))
+    with pytest.raises(InvalidPMFError, match="length"):
+        SystemDistribution((0.5, 0.5), (0.5,))
+    assert validate_pmf(ComponentDistribution((0.5, 0.5))) is None
+
+
+def oracle_diagnosis(pmf):
+    """``(kind, residual)`` of the first clause ``pmf`` violates, or None."""
+    for kind, faulty in (
+        ("non_finite", lambda p: p != p or abs(p) == math.inf),
+        ("negative_mass", lambda p: p < 0.0),
+        ("mass_above_one", lambda p: p > 1.0),
+    ):
+        if any(map(faulty, pmf)):
+            return kind, None
+    residual = math.fsum(pmf) - 1.0
+    return ("normalization", residual) if abs(residual) > 1e-9 else None
+
+
+@st.composite
+def near_normalized(draw):
+    """A nonnegative pmf whose math.fsum is 1, 1 + 1e-9 or 1 - 1e-9, moved
+    a few ulps either way by its last entry."""
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=5))
+    target = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
+    pmf = [target * w / sum(weights) for w in weights]
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        pmf[-1] = math.nextafter(pmf[-1], 2.0 if steps > 0 else 0.0)
+    return tuple(pmf)
+
+
+RAW_PMFS = st.one_of(
+    st.lists(
+        st.one_of(
+            st.floats(-0.5, 1.5),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1.0]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        min_size=1,
+        max_size=5,
+    ).map(tuple),
+    near_normalized(),
+    st.just(ABOVE_ONE),
+)
+
+
+@settings(max_examples=300)
+@given(RAW_PMFS)
+def test_component_distribution_refuses_what_validate_pmf_diagnoses(pmf):
+    diagnostic = validate_pmf(pmf)
+    expected = oracle_diagnosis(pmf)
+    assert (diagnostic and diagnostic.kind) == (expected and expected[0])
+    if expected and expected[1] is not None:
+        assert diagnostic.residual == expected[1]
+    if diagnostic is None:
+        assert ComponentDistribution(pmf).pmf == pmf
+    else:
+        with pytest.raises(InvalidPMFError) as refused:
+            ComponentDistribution(pmf)
+        assert str(refused.value) == diagnostic.message
+
+
+def refused(build):
+    try:
+        build()
+    except InvalidPMFError:
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(st.one_of(RAW_PMFS, st.just(())))
+def test_system_distribution_refuses_what_from_pmf_refuses(pmf):
+    cdf = tuple(accumulate(pmf))
+    # the rule: nonempty, no negative mass, the running sum 1 within 1e-9
+    negative = any(p < 0.0 for p in pmf)
+    invalid = not pmf or negative or not abs(cdf[-1] - 1.0) <= 1e-9
+    assert refused(lambda: SystemDistribution.from_pmf(pmf)) == invalid
+    assert refused(lambda: SystemDistribution(pmf, cdf)) == invalid
+    if pmf:
+        assert refused(lambda: SystemDistribution(pmf, cdf[:-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.randoms(), st.booleans())
+def test_closed_form_builds_on_random_read_once_trees(n, max_state, rnd, above_one):
+    expr = random_read_once_expr(rnd, list(range(1, n + 1)))
+    rng = np.random.default_rng(rnd.getrandbits(32))
+    dists = [random_pmf(rng, max_state) for _ in range(n)]
+    if above_one and max_state == 2:  # math.fsum 1 + 2**-52 everywhere
+        dists = [ABOVE_ONE] * n
+    got = closed_form_distribution(expr, dists)
+    assert len(got.pmf) == len(got.cdf) == max_state + 1
 
 
 @given(st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=1, max_size=6))
